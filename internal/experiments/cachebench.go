@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/ada-repro/ada/internal/arith"
 	"github.com/ada-repro/ada/internal/core"
@@ -76,10 +77,15 @@ type CachePoint struct {
 	ZipfS        float64 `json:"zipf_s"`
 	CacheEntries int     `json:"cache_entries"`
 	// UncachedSamplesSec and CachedSamplesSec are single-thread eval
-	// throughputs over the same stream.
+	// throughputs over the same stream, each the median of its side of
+	// the interleaved trial pairs.
 	UncachedSamplesSec float64 `json:"uncached_samples_per_sec"`
 	CachedSamplesSec   float64 `json:"cached_samples_per_sec"`
-	Speedup            float64 `json:"speedup"`
+	// Speedup is the median of the per-pair cached/uncached ratios;
+	// SpeedupMin and SpeedupMax bound their spread.
+	Speedup    float64 `json:"speedup"`
+	SpeedupMin float64 `json:"speedup_min"`
+	SpeedupMax float64 `json:"speedup_max"`
 	// HitRate is cache hits over cache traffic, per sample occurrence.
 	HitRate float64 `json:"hit_rate"`
 	// Allocation rates per batch for both paths (steady state; 0 expected).
@@ -93,7 +99,8 @@ type CachePoint struct {
 type DedupPoint struct {
 	ZipfS           float64 `json:"zipf_s"`
 	DedupSamplesSec float64 `json:"dedup_samples_per_sec"`
-	Speedup         float64 `json:"speedup"`
+	// Speedup is the median per-pair dedup/uncached ratio.
+	Speedup float64 `json:"speedup"`
 	// UniquePerBatch is the fold factor: mean distinct keys per
 	// Batch-sample batch.
 	UniquePerBatch float64 `json:"unique_per_batch"`
@@ -117,13 +124,18 @@ type CacheBenchResult struct {
 	CalcEntries int          `json:"calc_entries"`
 	Samples     int          `json:"samples"`
 	Batch       int          `json:"batch"`
+	Pairs       int          `json:"pairs"`
 	Points      []CachePoint `json:"points"`
 	Dedup       []DedupPoint `json:"dedup"`
-	// HeadlineSpeedup is the acceptance cell's cached/uncached ratio
-	// (Zipf s = HeadlineZipfS with HeadlineCacheEntries slots).
+	// HeadlineSpeedup is the acceptance cell's median per-pair
+	// cached/uncached ratio (Zipf s = HeadlineZipfS with
+	// HeadlineCacheEntries slots); HeadlineSpeedupMin/Max bound the
+	// per-pair spread.
 	HeadlineZipfS        float64         `json:"headline_zipf_s"`
 	HeadlineCacheEntries int             `json:"headline_cache_entries"`
 	HeadlineSpeedup      float64         `json:"headline_speedup"`
+	HeadlineSpeedupMin   float64         `json:"headline_speedup_min"`
+	HeadlineSpeedupMax   float64         `json:"headline_speedup_max"`
 	Differential         CacheDiffResult `json:"differential"`
 }
 
@@ -137,6 +149,7 @@ func RunCacheBench(cfg CacheBenchConfig) (CacheBenchResult, error) {
 		CalcEntries:          cfg.CalcEntries,
 		Samples:              cfg.Samples,
 		Batch:                cfg.Batch,
+		Pairs:                cachePairs,
 		HeadlineZipfS:        cfg.HeadlineZipfS,
 		HeadlineCacheEntries: cfg.HeadlineCacheEntries,
 	}
@@ -195,12 +208,14 @@ func RunCacheBench(cfg CacheBenchConfig) (CacheBenchResult, error) {
 			return nil
 		}
 
-		// The uncached reference throughput for this stream.
+		// The uncached reference path for this stream. Every candidate
+		// below is timed in interleaved pairs against it, so drift between
+		// trials lands on both sides of each ratio.
 		var plainSc arith.Scratch
 		if err := verifyStream("uncached", &plainSc); err != nil {
 			return res, err
 		}
-		uncachedSec, uncachedAllocs := measureMedian(cfg.Samples, batches, mkRun(&plainSc))
+		uncachedRun := mkRun(&plainSc)
 
 		// The standalone dedup fold (no cache), plus the fold factor
 		// counted directly from the stream.
@@ -209,11 +224,11 @@ func RunCacheBench(cfg CacheBenchConfig) (CacheBenchResult, error) {
 		if err := verifyStream("dedup", &dedupSc); err != nil {
 			return res, err
 		}
-		dedupSec, _ := measureMedian(cfg.Samples, batches, mkRun(&dedupSc))
+		dp := measurePairs(cachePairs, cfg.Samples, batches, uncachedRun, mkRun(&dedupSc))
 		res.Dedup = append(res.Dedup, DedupPoint{
 			ZipfS:           s,
-			DedupSamplesSec: dedupSec,
-			Speedup:         dedupSec / uncachedSec,
+			DedupSamplesSec: dp.candSec,
+			Speedup:         dp.ratio,
 			UniquePerBatch:  uniquePerBatch(xs, cfg.Batch),
 		})
 
@@ -224,17 +239,19 @@ func RunCacheBench(cfg CacheBenchConfig) (CacheBenchResult, error) {
 				return res, err
 			}
 			before := sc.CacheStats()
-			cachedSec, cachedAllocs := measureMedian(cfg.Samples, batches, mkRun(&sc))
+			cp := measurePairs(cachePairs, cfg.Samples, batches, uncachedRun, mkRun(&sc))
 			after := sc.CacheStats()
 			traffic := (after.Hits - before.Hits) + (after.Misses - before.Misses)
 			pt := CachePoint{
 				ZipfS:               s,
 				CacheEntries:        ce,
-				UncachedSamplesSec:  uncachedSec,
-				CachedSamplesSec:    cachedSec,
-				Speedup:             cachedSec / uncachedSec,
-				UncachedAllocsBatch: uncachedAllocs,
-				CachedAllocsBatch:   cachedAllocs,
+				UncachedSamplesSec:  cp.refSec,
+				CachedSamplesSec:    cp.candSec,
+				Speedup:             cp.ratio,
+				SpeedupMin:          cp.ratioMin,
+				SpeedupMax:          cp.ratioMax,
+				UncachedAllocsBatch: cp.refAllocs,
+				CachedAllocsBatch:   cp.candAllocs,
 			}
 			if traffic > 0 {
 				pt.HitRate = float64(after.Hits-before.Hits) / float64(traffic)
@@ -242,6 +259,7 @@ func RunCacheBench(cfg CacheBenchConfig) (CacheBenchResult, error) {
 			res.Points = append(res.Points, pt)
 			if s == cfg.HeadlineZipfS && ce == cfg.HeadlineCacheEntries {
 				res.HeadlineSpeedup = pt.Speedup
+				res.HeadlineSpeedupMin, res.HeadlineSpeedupMax = pt.SpeedupMin, pt.SpeedupMax
 			}
 		}
 	}
@@ -254,29 +272,47 @@ func RunCacheBench(cfg CacheBenchConfig) (CacheBenchResult, error) {
 	return res, nil
 }
 
-// measureMedian runs measure three times and reports the median throughput
-// — single-core hosts drift enough between trials (scheduler preemption,
-// frequency scaling) that one sample can swing a ratio by ±15% — together
-// with the worst-case allocation rate across trials.
-func measureMedian(samples, batches int, fn func()) (samplesSec, allocsBatch float64) {
-	var secs [3]float64
-	for i := range secs {
-		sec, allocs := measure(samples, batches, fn)
-		secs[i] = sec
-		if allocs > allocsBatch {
-			allocsBatch = allocs
-		}
+// cachePairs is the number of interleaved (uncached, candidate) trial pairs
+// behind every speedup; the speedup is the median of the per-pair ratios.
+const cachePairs = 5
+
+// pairStats summarises interleaved reference/candidate trials: each side's
+// median throughput, the median and range of the per-pair candidate/
+// reference ratios, and each side's worst-case allocation rate.
+type pairStats struct {
+	refSec, candSec           float64
+	ratio, ratioMin, ratioMax float64
+	refAllocs, candAllocs     float64
+}
+
+// measurePairs times k back-to-back pairs of ref and cand trials on their
+// warm state. Pairing puts any drift between trials —
+// scheduler preemption, frequency scaling, a neighbour's load — on both
+// sides of each ratio instead of into it, and the median ratio discards
+// the pairs a transient hit hardest.
+func measurePairs(k, samples, batches int, ref, cand func()) pairStats {
+	refs := make([]float64, k)
+	cands := make([]float64, k)
+	ratios := make([]float64, k)
+	var ps pairStats
+	for i := 0; i < k; i++ {
+		var ra, ca float64
+		refs[i], ra = measure(samples, batches, ref)
+		cands[i], ca = measure(samples, batches, cand)
+		ratios[i] = cands[i] / refs[i]
+		ps.refAllocs = max(ps.refAllocs, ra)
+		ps.candAllocs = max(ps.candAllocs, ca)
 	}
-	lo, hi := min(secs[0], secs[1]), max(secs[0], secs[1])
-	switch {
-	case secs[2] < lo:
-		samplesSec = lo
-	case secs[2] > hi:
-		samplesSec = hi
-	default:
-		samplesSec = secs[2]
-	}
-	return samplesSec, allocsBatch
+	ps.refSec, ps.candSec, ps.ratio = median(refs), median(cands), median(ratios)
+	ps.ratioMin, ps.ratioMax = slices.Min(ratios), slices.Max(ratios)
+	return ps
+}
+
+// median returns the middle element of xs (upper middle for even lengths),
+// sorting xs in place.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 // uniquePerBatch counts the mean number of distinct keys per batch — the
@@ -446,12 +482,13 @@ func RenderCacheBench(res CacheBenchResult) string {
 	t := stats.NewTable(
 		fmt.Sprintf("Lookup cache: cached vs uncached single-thread eval (width %d, %d entries, batch %d)",
 			res.Width, res.CalcEntries, res.Batch),
-		"zipf s", "cache", "uncached", "cached", "speedup", "hit rate", "allocs/batch")
+		"zipf s", "cache", "uncached", "cached", "speedup", "pair range", "hit rate", "allocs/batch")
 	for _, p := range res.Points {
 		t.AddF(fmt.Sprintf("%.1f", p.ZipfS), p.CacheEntries,
 			fmt.Sprintf("%.2fM", p.UncachedSamplesSec/1e6),
 			fmt.Sprintf("%.2fM", p.CachedSamplesSec/1e6),
 			fmt.Sprintf("%.2fx", p.Speedup),
+			fmt.Sprintf("%.2f–%.2fx", p.SpeedupMin, p.SpeedupMax),
 			fmt.Sprintf("%.1f%%", 100*p.HitRate),
 			fmt.Sprintf("%.1f→%.1f", p.UncachedAllocsBatch, p.CachedAllocsBatch))
 	}
@@ -466,8 +503,9 @@ func RenderCacheBench(res CacheBenchResult) string {
 	}
 	out += "\n" + dd.String()
 	d := res.Differential
-	out += fmt.Sprintf("\nheadline: %.2fx at zipf s=%.1f with %d-entry cache\n",
-		res.HeadlineSpeedup, res.HeadlineZipfS, res.HeadlineCacheEntries)
+	out += fmt.Sprintf("\nheadline: %.2fx (pairs %.2f–%.2fx, median of %d) at zipf s=%.1f with %d-entry cache\n",
+		res.HeadlineSpeedup, res.HeadlineSpeedupMin, res.HeadlineSpeedupMax, res.Pairs,
+		res.HeadlineZipfS, res.HeadlineCacheEntries)
 	out += fmt.Sprintf("differential: %d rounds, %d samples compared bit-identical, %d degraded, %d audits, restart=%v, %d invalidations\n",
 		d.Rounds, d.SamplesCompared, d.DegradedRounds, d.Audits, d.Restarted, d.Invalidations)
 	return out

@@ -2,14 +2,14 @@
 //
 // ADA's operand streams are heavily skewed — that is the premise the whole
 // population scheme rests on — yet LookupIndexBatch pays a full search
-// (range resolve, product grid, or trie walk) for every sample, including
-// the same hot keys millions of times between control rounds. The mapping a
-// committed round installs is immutable until the next snapshot change, so
-// key → ordinal is safely memoizable: a LookupCache is a fixed-size,
-// power-of-two, set-associative open-addressing cache in front of a store's
-// LookupIndexBatch that serves repeat keys from RAM instead of re-searching
-// the ternary structures (the CRAM/MashUp offload argument in software
-// form).
+// (range resolve, product grid, keyed partition resolve, or trie walk) for
+// every sample, including the same hot keys millions of times between
+// control rounds. The mapping a committed round installs is immutable
+// until the next snapshot change, so key → ordinal is safely memoizable: a
+// LookupCache is a fixed-size, power-of-two, set-associative
+// open-addressing cache in front of a store's LookupIndexBatch that serves
+// repeat keys from RAM instead of re-searching the ternary structures (the
+// CRAM/MashUp offload argument in software form).
 //
 // The cache stores snapshot ordinals, not payload values. That keeps every
 // consumer exact: the ordinal still resolves through the same Payloads view
@@ -126,6 +126,16 @@ type LookupCache struct {
 
 	stats CacheStats
 
+	// keyMask is set when the backing store is a single-field *Table too
+	// wide for the dense LUT: its range set resolves by predecessor search,
+	// which resolves an ascending batch in one sweep of the range array
+	// instead of bisecting all of it per key, so the misses are sorted
+	// first. It is the field's width mask. missSorted holds one batch's
+	// misses packed as (masked key, miss index), sorted.
+	keyMask    uint64
+	missSorted []uint64
+	radixTmp   []uint64
+
 	// fallback scratch: the keys of one batch that missed the cache, their
 	// positions in the batch, the set base their probe already computed,
 	// and the store's ordinals for them.
@@ -170,6 +180,9 @@ func NewLookupCache(store Store, entries int) *LookupCache {
 		c.sets = make([]cacheSet, sets)
 		for i := range c.sets {
 			c.sets[i] = emptySet
+		}
+		if _, ok := store.(*Table); ok && widths[0] > lutMaxBits {
+			c.keyMask = lowMask(widths[0])
 		}
 		return c
 	}
@@ -505,6 +518,7 @@ func (c *LookupCache) LookupIndexBatch(flat []uint64, dst []int32) ([]int32, Pay
 	if nm == 0 {
 		return dst, pay
 	}
+	sorted := arity == 1 && c.sortMisses(nm)
 	mords, _ := c.store.LookupIndexBatch(c.missFlat, c.missOrds)
 	c.missOrds = mords
 	if _, gen2 := c.snap.LookupSnapshot(); gen2 != gen {
@@ -515,19 +529,19 @@ func (c *LookupCache) LookupIndexBatch(flat []uint64, dst []int32) ([]int32, Pay
 		c.invalidate(gen2)
 		return c.store.LookupIndexBatch(flat, dst)
 	}
-	if arity == 1 {
-		for j, p := range c.missPos {
-			ord := mords[j]
-			dst[p] = ord
-			if slot := int(c.missSlot[j]); slot >= 0 {
-				st := &c.sets[slot/cacheWays]
-				w := slot % cacheWays
-				st.keys[w] = c.missFlat[j]
-				st.ords[w] = ord
-				st.hits[w] = 0
-			}
+	switch {
+	case sorted:
+		// mords follows the sorted order; the low bits of each packed miss
+		// name its place in the miss list.
+		idx := uint64(1)<<bits.Len(uint(nm)) - 1
+		for r, packed := range c.missSorted {
+			c.fillUnary(dst, flat, int(packed&idx), mords[r])
 		}
-	} else {
+	case arity == 1:
+		for j, ord := range mords {
+			c.fillUnary(dst, flat, j, ord)
+		}
+	default:
 		for j, p := range c.missPos {
 			ord := mords[j]
 			dst[p] = ord
@@ -535,4 +549,80 @@ func (c *LookupCache) LookupIndexBatch(flat []uint64, dst []int32) ([]int32, Pay
 		}
 	}
 	return dst, pay
+}
+
+// fillUnary serves miss j of a unary batch its store ordinal and, when the
+// probe pass admitted it, installs it in the way it chose.
+func (c *LookupCache) fillUnary(dst []int32, flat []uint64, j int, ord int32) {
+	p := c.missPos[j]
+	dst[p] = ord
+	if slot := int(c.missSlot[j]); slot >= 0 {
+		st := &c.sets[slot/cacheWays]
+		w := slot % cacheWays
+		st.keys[w] = flat[p]
+		st.ords[w] = ord
+		st.hits[w] = 0
+	}
+}
+
+// sortMisses rewrites the batch's nm unary misses into ascending order for
+// the backing table's ascending sweep, and reports whether it did. Each miss
+// is packed as its masked key above its index into the miss list, so one
+// sort of plain words orders the keys and carries the way back to each
+// miss's position and chosen slot. Misses are the cold tail of the stream —
+// scattered keys whose bisections share almost no cache lines — so walking
+// them in key order turns most of those cache misses into near neighbours.
+// The keys are masked to the field width exactly as the store masks them,
+// so the resolved ordinals are the ones the unsorted lookup returns.
+func (c *LookupCache) sortMisses(nm int) bool {
+	if c.keyMask == 0 || nm < minAscendingBatch {
+		return false
+	}
+	ib := bits.Len(uint(nm))
+	if bits.Len64(c.keyMask)+ib > 64 {
+		return false
+	}
+	if cap(c.missSorted) >= nm {
+		c.missSorted = c.missSorted[:nm]
+		c.radixTmp = c.radixTmp[:nm]
+	} else {
+		c.missSorted = make([]uint64, nm)
+		c.radixTmp = make([]uint64, nm)
+	}
+	for j, k := range c.missFlat[:nm] {
+		c.missSorted[j] = (k&c.keyMask)<<ib | uint64(j)
+	}
+	radixSort(c.missSorted, c.radixTmp, bits.Len64(c.keyMask)+ib)
+	for r, packed := range c.missSorted {
+		c.missFlat[r] = packed >> ib
+	}
+	return true
+}
+
+// radixSort sorts a in place, whose values fit in width bits, with
+// byte-wide LSD radix passes through tmp (at least len(a) long). The miss
+// lists it sorts are random words: a comparison sort mispredicts about half
+// its branches on them and costs several times these counting passes.
+func radixSort(a, tmp []uint64, width int) {
+	src, dst := a, tmp[:len(a)]
+	for shift := 0; shift < width; shift += 8 {
+		var count [256]int
+		for _, v := range src {
+			count[byte(v>>uint(shift))]++
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, v := range src {
+			d := byte(v >> uint(shift))
+			dst[count[d]] = v
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	if (width+7)/8%2 == 1 {
+		copy(a, src)
+	}
 }

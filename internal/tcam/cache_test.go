@@ -3,6 +3,7 @@ package tcam
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -374,5 +375,59 @@ func TestLookupCacheConcurrentReaders(t *testing.T) {
 	case err := <-errc:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// TestLookupCacheAscendingMisses covers the wide single-field miss path:
+// batches with far more than minSortedMisses misses, keys carrying bits
+// above the field width, repeated keys, tilings with holes (store misses),
+// and a nested-prefix table that compiles to the trie instead of a range
+// set. Every batch must stay bit-identical to the uncached store.
+func TestLookupCacheAscendingMisses(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const width = 20
+	for trial := 0; trial < 6; trial++ {
+		tb := MustNew("wide", 0, width)
+		rows := tilingRows(randTiling(rng, width, 10))
+		rows = rows[:len(rows)-len(rows)/4] // holes: a quarter of the domain misses
+		if trial%3 == 2 {
+			rows = append(rows, row(0, 1<<(width-1), 0, uint64(7))) // nests over the left half
+		}
+		if _, err := tb.ApplyRowsAtomic(rows); err != nil {
+			t.Fatal(err)
+		}
+		c := NewLookupCache(tb, 64)
+		if c.keyMask == 0 {
+			t.Fatal("a wide single-field table did not arm the ascending miss path")
+		}
+		for b := 0; b < 8; b++ {
+			flat := skewedBatch(rng, 1024, width)
+			for i := range flat {
+				if rng.Intn(8) == 0 {
+					flat[i] |= rng.Uint64() << width
+				}
+			}
+			assertCachedParity(t, c, tb, flat)
+		}
+	}
+}
+
+// TestRadixSort checks the miss-list sort against slices.Sort across widths
+// with odd and even pass counts.
+func TestRadixSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, width := range []int{1, 8, 13, 27, 40, 64} {
+		for _, n := range []int{0, 1, 33, 1000} {
+			a := make([]uint64, n)
+			for i := range a {
+				a[i] = rng.Uint64() & lowMask(width)
+			}
+			want := slices.Clone(a)
+			slices.Sort(want)
+			radixSort(a, make([]uint64, n), width)
+			if !slices.Equal(a, want) {
+				t.Fatalf("width %d n %d: radixSort disagrees with slices.Sort", width, n)
+			}
+		}
 	}
 }

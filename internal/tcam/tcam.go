@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -675,8 +676,19 @@ func (t *Table) LookupIndexBatch(flat []uint64, dst []int32) ([]int32, Payloads)
 	}
 	ix := t.loadIndex()
 	var hits uint64
-	if ix.rset != nil && arity == 1 {
-		rs := ix.rset
+	rs := ix.rset
+	switch {
+	case rs != nil && arity == 1 && rs.lut == nil && n >= minAscendingBatch && slices.IsSorted(flat[:n]):
+		// An ascending batch (a LookupCache's sorted miss list) sweeps the
+		// predecessor-searched range array once instead of bisecting it
+		// per key.
+		rs.resolveAscending(flat[:n], dst)
+		for _, ord := range dst {
+			if ord >= 0 {
+				hits++
+			}
+		}
+	case rs != nil && arity == 1:
 		for i, k := range flat[:n] {
 			ord := rs.resolve(k)
 			dst[i] = ord
@@ -684,7 +696,22 @@ func (t *Table) LookupIndexBatch(flat []uint64, dst []int32) ([]int32, Payloads)
 				hits++
 			}
 		}
-	} else {
+	case ix.keyed:
+		// One indexed load on each tuple's field 0 picks its partition;
+		// the partition resolves the tuple in place in flat.
+		parts, idMask := ix.parts, ix.idMask
+		for i := range dst {
+			base := i * arity
+			ord := int32(-1)
+			if id := flat[base] & idMask; id < uint64(len(parts)) {
+				ord = parts[id].lookupAt(flat, base)
+			}
+			dst[i] = ord
+			if ord >= 0 {
+				hits++
+			}
+		}
+	default:
 		for i := 0; i < n; i++ {
 			ord := ix.lookupOrd(flat[i*arity : (i+1)*arity])
 			dst[i] = ord

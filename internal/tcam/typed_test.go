@@ -3,6 +3,7 @@ package tcam
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/ada-repro/ada/internal/bitstr"
@@ -252,4 +253,40 @@ func TestRangeSetRejectsOverlapSingleField(t *testing.T) {
 		flat[i] = uint64(i)
 	}
 	checkIndexBatch(t, tb, flat, 1)
+}
+
+// TestLookupIndexBatchAscending covers the ascending sweep of a wide range
+// set: sorted batches with and without garbage above the field width (which
+// can make the masked keys descend, forcing restarts), checked key by key
+// against Lookup.
+func TestLookupIndexBatchAscending(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const width = 20
+	tb := tileTable(t, width, 11)
+	for _, e := range tb.Entries()[:300] { // holes: these ranges miss
+		if err := tb.Delete(e.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ix := tb.loadIndex(); ix.rset == nil || ix.rset.lut != nil {
+		t.Fatal("wide tiling did not compile to the predecessor-searched range set")
+	}
+	for _, garbage := range []bool{false, true} {
+		flat := make([]uint64, 600)
+		for i := range flat {
+			flat[i] = rng.Uint64() & lowMask(width)
+			if garbage && rng.Intn(4) == 0 {
+				flat[i] |= rng.Uint64() << width
+			}
+		}
+		slices.Sort(flat)
+		ords, pay := tb.LookupIndexBatch(flat, nil)
+		for i, k := range flat {
+			want, ok := tb.Lookup(k)
+			got := pay.Entry(ords[i])
+			if ok != (got != nil) || ok && got.ID != want.ID {
+				t.Fatalf("garbage=%v key %#x: ordinal %d entry %v, Lookup (%v, %v)", garbage, k, ords[i], got, want, ok)
+			}
+		}
+	}
 }

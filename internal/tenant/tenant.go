@@ -514,7 +514,11 @@ func (s *Slice) LookupBatch(keys [][]uint64) []*tcam.Entry {
 }
 
 // LookupSingleBatch is the single-operand batch path. The shared table has
-// more than one field, so it expands to the generic batch lookup.
+// more than one field, so it expands to the generic batch lookup, which
+// resolves through the shared table's keyed form: one load on the tenant
+// ID picks this slice's partition, whose wildcarded second operand field is
+// dropped, leaving the same range resolve a private single-field table
+// runs.
 func (s *Slice) LookupSingleBatch(keys []uint64, dst []*tcam.Entry) []*tcam.Entry {
 	pk := make([][]uint64, len(keys))
 	buf := make([]uint64, len(keys)*(1+len(s.p.cfg.OperandWidths)))
