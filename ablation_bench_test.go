@@ -195,7 +195,7 @@ func (t *unaryTargetForBench) Populate(tr *trie.Trie, budget int) (int, int, err
 	return writes, len(entries), err
 }
 
-// BenchmarkAblationWritePolicy compares delta reconciliation (ApplyRows)
+// BenchmarkAblationWritePolicy compares delta reconciliation (ApplyRowsAtomic)
 // against full table rewrites (ReplaceAll) across adaptation rounds — the
 // reason Table II's write counts stay low.
 func BenchmarkAblationWritePolicy(b *testing.B) {
@@ -225,7 +225,7 @@ func BenchmarkAblationWritePolicy(b *testing.B) {
 			for k, e := range entries {
 				rows[k] = tcam.RowFromPrefix(e.P, e.Result)
 			}
-			w1, err := delta.ApplyRows(rows)
+			w1, err := delta.ApplyRowsAtomic(rows)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -156,7 +156,7 @@ func (b *baselineUnary) observeEval(xs []uint64) ([]uint64, int) {
 // replica per operand.
 type baselineBinary struct {
 	monX, monY baselineUnary
-	store      tcam.Store
+	store      *tcam.Table
 }
 
 func (b *baselineBinary) observeEval(xs, ys []uint64) ([]uint64, int) {
@@ -396,7 +396,7 @@ func RunDataplaneBench(cfg DataplaneBenchConfig) ([]DataplaneBenchRow, error) {
 	binBase := baselineBinary{
 		monX:  newBaselineUnary(bin.ControllerX().Monitor(), nil),
 		monY:  newBaselineUnary(bin.ControllerY().Monitor(), nil),
-		store: bin.Engine().Store(),
+		store: bin.Engine().Table(),
 	}
 	if err := verifyBinary(bin, &binBase, xs, ys, cfg.Batch); err != nil {
 		return nil, err

@@ -8,11 +8,12 @@ import (
 	"github.com/ada-repro/ada/internal/netsim"
 	"github.com/ada-repro/ada/internal/stats"
 	"github.com/ada-repro/ada/internal/tcam"
+	"github.com/ada-repro/ada/internal/tcam/tcamtest"
 )
 
 // LookupBenchConfig parameterises the data-plane lookup microbenchmark: the
-// compiled per-generation index against the reference linear scan, plus the
-// batch and parallel replay paths the experiments use.
+// compiled per-generation index against the brute-force reference scan,
+// plus the zero-allocation batch path and parallel replay.
 type LookupBenchConfig struct {
 	// Sizes are the table entry counts swept (powers of two — each size
 	// installs a full-domain prefix cover of that many leaves).
@@ -52,11 +53,13 @@ type LookupParallelPoint struct {
 type LookupBenchRow struct {
 	// Entries is the installed entry count.
 	Entries int `json:"entries"`
-	// ScanNs is the reference linear scan (LookupAll) cost per lookup.
+	// ScanNs is the brute-force reference scan (tcamtest.Winner over one
+	// Entries snapshot) cost per lookup.
 	ScanNs float64 `json:"scan_ns"`
 	// IndexedNs is the compiled-index Lookup cost per lookup.
 	IndexedNs float64 `json:"indexed_ns"`
-	// BatchNs is the LookupBatch cost per lookup (one snapshot per batch).
+	// BatchNs is the LookupIndexBatch cost per lookup (one snapshot per
+	// batch), the data plane's hot path.
 	BatchNs float64 `json:"batch_ns"`
 	// Speedup is ScanNs / IndexedNs.
 	Speedup float64 `json:"speedup"`
@@ -112,8 +115,9 @@ func RunLookupBench(cfg LookupBenchConfig) ([]LookupBenchRow, error) {
 		}
 		t.Lookup(keys[0]) // compile the index outside the timed region
 
-		// Reference linear scan. LookupAll deliberately bypasses the
-		// index; cap the probe count so 8k entries stays sub-second.
+		// Reference scan over one resolution-ordered snapshot; cap the
+		// probe count so 8k entries stays sub-second.
+		entries := t.Entries()
 		scanProbes := cfg.Probes
 		if max := 2_000_000 / size; scanProbes > max {
 			scanProbes = max
@@ -123,7 +127,7 @@ func RunLookupBench(cfg LookupBenchConfig) ([]LookupBenchRow, error) {
 		}
 		start := time.Now()
 		for _, k := range keys[:scanProbes] {
-			if es := t.LookupAll(k); len(es) == 0 {
+			if tcamtest.Winner(entries, k) < 0 {
 				return nil, fmt.Errorf("lookupbench: scan miss on full cover (key %d)", k)
 			}
 		}
@@ -139,12 +143,11 @@ func RunLookupBench(cfg LookupBenchConfig) ([]LookupBenchRow, error) {
 		indexedNs := float64(time.Since(start).Nanoseconds()) / float64(len(keys))
 
 		// Batch path: one compiled snapshot per batch.
-		var dst []*tcam.Entry
 		start = time.Now()
-		dst = t.LookupSingleBatch(keys, dst)
+		ords, _ := t.LookupIndexBatch(keys, nil)
 		batchNs := float64(time.Since(start).Nanoseconds()) / float64(len(keys))
-		for _, e := range dst {
-			if e == nil {
+		for _, ord := range ords {
+			if ord < 0 {
 				return nil, fmt.Errorf("lookupbench: batch miss on full cover")
 			}
 		}

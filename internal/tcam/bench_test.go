@@ -94,13 +94,12 @@ func BenchmarkLookupParallel1024(b *testing.B) {
 func BenchmarkLookupBatch1024(b *testing.B) {
 	tb := benchTable(b, 1024)
 	keys := benchKeys(1024)
-	var dst []*Entry
+	var dst []int32
 	tb.Lookup(keys[0])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = tb.LookupSingleBatch(keys, dst)
+		dst, _ = tb.LookupIndexBatch(keys, dst)
 	}
-	_ = dst
 }
 
 func BenchmarkApplyRowsNoChange(b *testing.B) {
@@ -110,12 +109,12 @@ func BenchmarkApplyRowsNoChange(b *testing.B) {
 	for i, p := range subdivideForBench(root, 64) {
 		rows = append(rows, RowFromPrefix(p, uint64(i)))
 	}
-	if _, err := tb.ApplyRows(rows); err != nil {
+	if _, err := tb.ApplyRowsAtomic(rows); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tb.ApplyRows(rows); err != nil {
+		if _, err := tb.ApplyRowsAtomic(rows); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -209,20 +208,6 @@ func BenchmarkTieredIndexBatch128(b *testing.B)  { benchmarkTieredIndexBatch(b, 
 func BenchmarkTieredIndexBatch1280(b *testing.B) { benchmarkTieredIndexBatch(b, 1280) }
 func BenchmarkTableIndexBatch128(b *testing.B)   { benchmarkTableIndexBatch(b, 128) }
 func BenchmarkTableIndexBatch1280(b *testing.B)  { benchmarkTableIndexBatch(b, 1280) }
-
-// BenchmarkTieredSingleBatch covers the satellite fix: the single-field
-// tiered batch path must be allocation-free like the Table path.
-func BenchmarkTieredSingleBatch1280(b *testing.B) {
-	const width = 16
-	ts, _ := benchTieredPair(b, 128, 1280, width)
-	keys := benchWidthKeys(1024, width)
-	var dst []*Entry
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = ts.LookupSingleBatch(keys, dst)
-	}
-}
 
 // benchCacheBatch draws one skewed 4096-key batch over the bench table's
 // 32-bit domain: 7 of 8 draws come from a 64-key hot set, the rest are

@@ -18,8 +18,9 @@
 // can keep doing so per sample.
 //
 // Invalidation is wholesale and implicit. Entries are valid only for the
-// snapshot generation they were filled under (see Snapshotter); on any
-// mismatch the cache empties itself and refills against the new snapshot.
+// snapshot generation they were filled under (see Store.LookupSnapshot); on
+// any mismatch the cache empties itself and refills against the new
+// snapshot.
 // Control rounds, audits, repairs, tier re-placement, tenant churn, and
 // even silent tampering all advance the snapshot generation, so no caller
 // ever needs an explicit flush and a generation bump can never serve stale
@@ -34,26 +35,6 @@ package tcam
 import (
 	"math/bits"
 	"unsafe"
-)
-
-// Snapshotter is the optional store surface the cache keys itself on: the
-// current compiled snapshot's typed payload view plus a generation token
-// that changes whenever that snapshot changes. Two calls returning the same
-// token are guaranteed to describe the same immutable snapshot, so ordinals
-// obtained under that token remain valid against the returned Payloads.
-//
-// The token is deliberately not Table.Generation(): the bulk-commit
-// generation stands still across single-row writes, audit-discovered
-// tampering, and tiered re-placement, all of which change what the data
-// plane serves. The snapshot generation advances on every such change.
-// *Table, *TieredStore, and tenant slices implement Snapshotter.
-type Snapshotter interface {
-	LookupSnapshot() (Payloads, uint64)
-}
-
-var (
-	_ Snapshotter = (*Table)(nil)
-	_ Snapshotter = (*TieredStore)(nil)
 )
 
 // CacheStats counts a LookupCache's traffic: Hits served from the cache,
@@ -108,8 +89,7 @@ var emptySet = cacheSet{keys: [cacheWays]uint64{emptyKey, emptyKey, emptyKey, em
 // always go through the constructor.
 type LookupCache struct {
 	store Store
-	snap  Snapshotter // nil: store cannot be cached, pass through
-	arity int         // 1 (unary) or 2 (binary product-grid keys)
+	arity int // 1 (unary) or 2 (binary product-grid keys)
 
 	shift uint       // 64 - log2(sets); hashes map to a set index
 	sets  []cacheSet // unary layout: one packed cache line per set
@@ -153,15 +133,13 @@ const emptyKey = ^uint64(0)
 
 // NewLookupCache builds a cache of at least `entries` slots (rounded up to
 // a power of two, minimum one set of cacheWays ways) in front of store. A
-// store that does not implement Snapshotter, has more than two key fields,
-// or has a 64-bit key field, yields a pass-through cache: LookupIndexBatch
-// forwards verbatim and Stats stays zero. entries <= 0 also yields a
-// pass-through.
+// store with more than two key fields or a 64-bit key field yields a
+// pass-through cache: LookupIndexBatch forwards verbatim and Stats stays
+// zero. entries <= 0 also yields a pass-through.
 func NewLookupCache(store Store, entries int) *LookupCache {
 	widths := store.FieldWidths()
 	c := &LookupCache{store: store, arity: len(widths)}
-	snap, ok := store.(Snapshotter)
-	if !ok || entries <= 0 || c.arity < 1 || c.arity > 2 {
+	if entries <= 0 || c.arity < 1 || c.arity > 2 {
 		return c
 	}
 	for _, w := range widths {
@@ -174,7 +152,6 @@ func NewLookupCache(store Store, entries int) *LookupCache {
 	}
 	slots := 1 << bits.Len(uint(entries-1)) // next power of two
 	sets := slots / cacheWays
-	c.snap = snap
 	c.shift = uint(64 - bits.Len(uint(sets-1)))
 	if c.arity == 1 {
 		c.sets = make([]cacheSet, sets)
@@ -199,8 +176,8 @@ func NewLookupCache(store Store, entries int) *LookupCache {
 func (c *LookupCache) Store() Store { return c.store }
 
 // Enabled reports whether lookups can actually be served from the cache
-// (the store implements Snapshotter and a positive size was requested).
-func (c *LookupCache) Enabled() bool { return c != nil && c.snap != nil }
+// (a positive size was requested for a cacheable store).
+func (c *LookupCache) Enabled() bool { return c != nil && (c.sets != nil || c.ords != nil) }
 
 // Len returns the slot count (0 for a pass-through cache).
 func (c *LookupCache) Len() int {
@@ -340,7 +317,7 @@ func (c *LookupCache) insert(k0, k1 uint64, ord int32) {
 // uncached against one store snapshot, exactly what the uncached path would
 // have served.
 func (c *LookupCache) LookupIndexBatch(flat []uint64, dst []int32) ([]int32, Payloads) {
-	if c.snap == nil {
+	if !c.Enabled() {
 		return c.store.LookupIndexBatch(flat, dst)
 	}
 	arity := c.arity
@@ -350,7 +327,7 @@ func (c *LookupCache) LookupIndexBatch(flat []uint64, dst []int32) ([]int32, Pay
 	} else {
 		dst = make([]int32, n)
 	}
-	pay, gen := c.snap.LookupSnapshot()
+	pay, gen := c.store.LookupSnapshot()
 	if gen != c.gen {
 		c.invalidate(gen)
 	}
@@ -521,7 +498,7 @@ func (c *LookupCache) LookupIndexBatch(flat []uint64, dst []int32) ([]int32, Pay
 	sorted := arity == 1 && c.sortMisses(nm)
 	mords, _ := c.store.LookupIndexBatch(c.missFlat, c.missOrds)
 	c.missOrds = mords
-	if _, gen2 := c.snap.LookupSnapshot(); gen2 != gen {
+	if _, gen2 := c.store.LookupSnapshot(); gen2 != gen {
 		// The snapshot moved between the probe pass and the store lookup:
 		// cached ordinals and fresh ordinals would mix two snapshots. Serve
 		// the whole batch from one uncached store call instead and drop the

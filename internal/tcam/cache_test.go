@@ -60,15 +60,15 @@ func TestLookupCacheDifferentialApplyRows(t *testing.T) {
 	}
 	gen0 := tb.Generation()
 	for round := 0; round < 64; round++ {
-		if _, err := tb.ApplyRows(tilingRows(randTiling(rng, 8, 5))); err != nil {
-			t.Fatalf("round %d: ApplyRows: %v", round, err)
+		if _, err := tb.ApplyRowsAtomic(tilingRows(randTiling(rng, 8, 5))); err != nil {
+			t.Fatalf("round %d: ApplyRowsAtomic: %v", round, err)
 		}
 		for b := 0; b < 4; b++ {
 			assertCachedParity(t, c, tb, skewedBatch(rng, 512, 8))
 		}
 	}
 	if !tb.GenerationChanged(gen0) {
-		t.Fatal("64 ApplyRows rounds left the generation unchanged")
+		t.Fatal("64 ApplyRowsAtomic rounds left the generation unchanged")
 	}
 	st := c.Stats()
 	if st.Hits == 0 {
@@ -216,20 +216,21 @@ func TestLookupCacheTieredRebalance(t *testing.T) {
 	}
 }
 
-// noSnap hides the Snapshotter surface of a store, modelling a Store
-// implementation that cannot be cached.
-type noSnap struct{ Store }
-
-// TestLookupCachePassThrough pins the degraded modes: a store without
-// LookupSnapshot, or a non-positive size, yields a transparent forwarder.
+// TestLookupCachePassThrough pins the degraded modes: a non-positive size,
+// or a store with a 64-bit key field (whose all-ones key would collide with
+// the free-way marker), yields a transparent forwarder.
 func TestLookupCachePassThrough(t *testing.T) {
+	rows := []Row{row(0x00, 0x80, 0, uint64(1)), row(0x80, 0x80, 0, uint64(2))}
 	tb := MustNew("t", 0, 8)
-	if _, err := tb.ApplyRowsAtomic([]Row{row(0x00, 0x80, 0, uint64(1)), row(0x80, 0x80, 0, uint64(2))}); err != nil {
-		t.Fatal(err)
+	wide := MustNew("wide", 0, 64)
+	for _, st := range []*Table{tb, wide} {
+		if _, err := st.ApplyRowsAtomic(rows); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for name, c := range map[string]*LookupCache{
-		"no-snapshotter": NewLookupCache(noSnap{tb}, 1024),
-		"zero-entries":   NewLookupCache(tb, 0),
+		"zero-entries": NewLookupCache(tb, 0),
+		"64-bit-field": NewLookupCache(wide, 1024),
 	} {
 		if c.Enabled() {
 			t.Fatalf("%s: Enabled() = true", name)
@@ -237,7 +238,7 @@ func TestLookupCachePassThrough(t *testing.T) {
 		if c.Len() != 0 {
 			t.Fatalf("%s: Len() = %d, want 0", name, c.Len())
 		}
-		assertCachedParity(t, c, tb, []uint64{0x01, 0x81, 0x01})
+		assertCachedParity(t, c, c.Store(), []uint64{0x01, 0x81, 0x01})
 		if st := c.Stats(); st != (CacheStats{}) {
 			t.Fatalf("%s: pass-through accounted stats %+v", name, st)
 		}
@@ -306,7 +307,7 @@ func TestLookupCacheBinaryKeys(t *testing.T) {
 func TestLookupCacheEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tb := MustNew("t", 0, 8)
-	if _, err := tb.ApplyRows(tilingRows(randTiling(rng, 8, 5))); err != nil {
+	if _, err := tb.ApplyRowsAtomic(tilingRows(randTiling(rng, 8, 5))); err != nil {
 		t.Fatal(err)
 	}
 	c := NewLookupCache(tb, cacheWays) // one set: every insert contends

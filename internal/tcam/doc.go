@@ -13,6 +13,26 @@
 // control-plane overhead accounting (paper Table II, Fig 9) can be derived
 // from real operation counts rather than estimates.
 //
+// # The lookup surface
+//
+// Store declares the three lookup methods production code calls. Lookup
+// resolves one key tuple to its winning *Entry; the control plane, the
+// apps, and single-operand evaluation use it. LookupIndexBatch resolves a
+// packed batch to dense snapshot ordinals plus a typed payload view; it is
+// the data plane's hot path. LookupSnapshot names the snapshot those
+// ordinals index, and LookupCache keys itself on it. *Table, *TieredStore,
+// and tenant slices implement all three.
+//
+// *Table also keeps LookupBatch and LookupSingleBatchTrie, outside Store.
+// The data-plane throughput benchmark's replica of the pre-optimisation
+// path calls them to reproduce that path's per-sample cost. Moved onto
+// LookupIndexBatch, the replica would run faster and stop measuring the
+// path it stands for.
+//
+// The reference every compiled path is tested against lives in package
+// tcamtest: a first-match scan over Table.Entries, which lists entries in
+// resolution order. It is the software form of a TCAM's priority encoder.
+//
 // # The generation/version contract
 //
 // Every store in this package (and tenant slices outside it) exposes up to
@@ -23,9 +43,9 @@
 // # Generation — bulk commits only
 //
 // Table.Generation advances by one each time a bulk reconciliation commits
-// successfully: ReplaceAll, ApplyRows, ApplyRowsAtomic, ApplyDelta, and the
-// audit layer's AuditRepair (which is a bulk reconcile). It never advances
-// on a failed or rolled-back commit, on single-row operations, or on silent
+// successfully: ReplaceAll, ApplyRowsAtomic, ApplyDelta, and the audit
+// layer's AuditRepair (which is a bulk reconcile). It never advances on a
+// failed or rolled-back commit, on single-row operations, or on silent
 // tampering. Invariant checks use it to assert a table is either fully
 // old-generation or fully new-generation ("a round is atomic"), and
 // GenerationChanged(since) is the convenience form of that question.
@@ -46,7 +66,7 @@
 //
 // # Snapshot generation — everything the data plane can observe
 //
-// Snapshotter.LookupSnapshot returns a token that advances whenever the
+// Store.LookupSnapshot returns a token that advances whenever the
 // compiled lookup snapshot changes: every Version-visible mutation, plus
 // the two Version-invisible ones above (tampering, tier placement). It
 // exists because ordinal-based consumers — LookupIndexBatch callers and the

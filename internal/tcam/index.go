@@ -11,8 +11,8 @@
 // Resolution is unchanged: every entry whose field prefixes contain the key
 // lies on the walked paths, and candidates are compared with the same
 // (sig desc, priority desc, seq asc) order the reference scan uses, so the
-// index returns bit-identical winners (the differential tests in
-// index_test.go pin this against LookupAll).
+// index returns bit-identical winners (the differential tests and fuzz
+// targets in oracle_test.go pin this against the tcamtest oracle).
 //
 // Three further compilations serve the zero-allocation hot path:
 //
@@ -256,8 +256,9 @@ func maskIsPrefix(mask uint64, width int) bool {
 }
 
 // buildIndex compiles a resolution-ordered entry list. Entries are copied
-// into the snapshot so later UpdateData/ApplyRows mutations of the live
-// entries can never race with a reader holding an old snapshot.
+// into the snapshot so later in-place data rewrites of the live entries
+// (ApplyRowsAtomic, ApplyDelta) can never race with a reader holding an old
+// snapshot.
 func buildIndex(version uint64, widths []int, ordered []*Entry) *index {
 	ix := &index{version: version, form: form{widths: widths}}
 	ix.entries = make([]*Entry, len(ordered))

@@ -8,111 +8,9 @@ import (
 	"github.com/ada-repro/ada/internal/bitstr"
 )
 
-// randomPrefixTable builds a table with n random prefix entries over the
-// given field widths (one prefix per field), random priorities.
-func randomPrefixTable(t testing.TB, rng *rand.Rand, n int, widths ...int) *Table {
-	t.Helper()
-	tb := MustNew("fuzz", 0, widths...)
-	for i := 0; i < n; i++ {
-		fields := make([]Field, len(widths))
-		for f, w := range widths {
-			p, err := bitstr.New(rng.Uint64()&lowMask(w), rng.Intn(w+1), w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fields[f] = FieldFromPrefix(p)
-		}
-		if _, err := tb.Insert(fields, rng.Intn(4), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tb
-}
-
-// TestIndexDifferentialSingleField proves the compiled index resolves
-// bit-identically to the reference scan on ≥10k random keys across random
-// single-field tables (the acceptance-criteria differential).
-func TestIndexDifferentialSingleField(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	keysChecked := 0
-	for trial := 0; trial < 40; trial++ {
-		width := 1 + rng.Intn(32)
-		tb := randomPrefixTable(t, rng, 1+rng.Intn(200), width)
-		for probe := 0; probe < 300; probe++ {
-			key := rng.Uint64() & lowMask(width)
-			got, ok := tb.Lookup(key)
-			all := tb.LookupAll(key)
-			if (len(all) > 0) != ok {
-				t.Fatalf("width %d key %#x: indexed ok=%v, reference found %d", width, key, ok, len(all))
-			}
-			if ok && got.ID != all[0].ID {
-				t.Fatalf("width %d key %#x: indexed winner %d, reference winner %d", width, key, got.ID, all[0].ID)
-			}
-			keysChecked++
-		}
-	}
-	if keysChecked < 10000 {
-		t.Fatalf("differential covered only %d keys, want >= 10000", keysChecked)
-	}
-}
-
-// TestIndexDifferentialMultiField runs the same differential over two- and
-// three-field tables, where LPM winners combine per-field significant bits.
-func TestIndexDifferentialMultiField(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 30; trial++ {
-		nf := 2 + rng.Intn(2)
-		widths := make([]int, nf)
-		for i := range widths {
-			widths[i] = 1 + rng.Intn(12)
-		}
-		tb := randomPrefixTable(t, rng, 1+rng.Intn(150), widths...)
-		for probe := 0; probe < 400; probe++ {
-			keys := make([]uint64, nf)
-			for i, w := range widths {
-				keys[i] = rng.Uint64() & lowMask(w)
-			}
-			got, ok := tb.Lookup(keys...)
-			all := tb.LookupAll(keys...)
-			if (len(all) > 0) != ok {
-				t.Fatalf("widths %v keys %v: indexed ok=%v, reference found %d", widths, keys, ok, len(all))
-			}
-			if ok && got.ID != all[0].ID {
-				t.Fatalf("widths %v keys %v: indexed winner %d, reference winner %d", widths, keys, got.ID, all[0].ID)
-			}
-		}
-	}
-}
-
-// TestIndexFallbackNonPrefixMask: entries with non-contiguous ternary masks
-// cannot be trie-compiled; the index must fall back to the resolution-order
-// scan and still agree with LookupAll.
-func TestIndexFallbackNonPrefixMask(t *testing.T) {
-	tb := MustNew("ternary", 0, 8)
-	// Match any key whose bit 2 is set, regardless of other bits.
-	if _, err := tb.Insert([]Field{{Value: 0b100, Mask: 0b100}}, 0, "bit2"); err != nil {
-		t.Fatal(err)
-	}
-	// And a proper prefix entry that outranks it on significant bits.
-	p := bitstr.MustNew(0b10000000, 4, 8)
-	if _, err := tb.InsertPrefix(p, 0, "prefix"); err != nil {
-		t.Fatal(err)
-	}
-	for key := uint64(0); key < 256; key++ {
-		got, ok := tb.Lookup(key)
-		all := tb.LookupAll(key)
-		if (len(all) > 0) != ok {
-			t.Fatalf("key %#x: ok=%v, reference %d", key, ok, len(all))
-		}
-		if ok && got.ID != all[0].ID {
-			t.Fatalf("key %#x: indexed %d, reference %d", key, got.ID, all[0].ID)
-		}
-	}
-}
-
-// TestIndexSeesMutations: single-row mutations (insert, update, delete)
+// TestIndexSeesMutations: single-row mutations (insert, delete, clear)
 // must invalidate the compiled index even though they do not advance the
-// bulk-commit generation.
+// bulk-commit generation, and so must a data-only rewrite.
 func TestIndexSeesMutations(t *testing.T) {
 	tb := MustNew("mut", 0, 4)
 	p := bitstr.MustNew(0b0100, 2, 4)
@@ -123,7 +21,7 @@ func TestIndexSeesMutations(t *testing.T) {
 	if e, ok := tb.Lookup(5); !ok || e.Data.(string) != "a" {
 		t.Fatalf("after insert: %v", e)
 	}
-	if err := tb.UpdateData(id, "b"); err != nil {
+	if _, err := tb.ApplyDelta([]Row{RowFromPrefix(p, "b")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if e, ok := tb.Lookup(5); !ok || e.Data.(string) != "b" {
@@ -171,7 +69,7 @@ func generationRows(t *testing.T, tag int) []Row {
 	return rows
 }
 
-// TestIndexNoTornGeneration hammers lock-free Lookup/LookupBatch against
+// TestIndexNoTornGeneration hammers lock-free Lookup/LookupIndexBatch against
 // ApplyRowsAtomic/ReplaceAll commits. Every committed population tags all
 // of its rows with one generation number; a batch resolved against a single
 // snapshot must never mix tags, and no lookup may miss (every population
@@ -196,7 +94,8 @@ func TestIndexNoTornGeneration(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			keys := make([][]uint64, 8)
+			keys := make([]uint64, 8)
+			var ords []int32
 			for {
 				select {
 				case <-stop:
@@ -204,11 +103,13 @@ func TestIndexNoTornGeneration(t *testing.T) {
 				default:
 				}
 				for i := range keys {
-					keys[i] = []uint64{rng.Uint64() & 0xF}
+					keys[i] = rng.Uint64() & 0xF
 				}
-				got := tb.LookupBatch(keys)
+				var pay Payloads
+				ords, pay = tb.LookupIndexBatch(keys, ords)
 				tag := -1
-				for i, e := range got {
+				for i, ord := range ords {
+					e := pay.Entry(ord)
 					if e == nil {
 						select {
 						case errs <- "lookup miss mid-commit (torn or empty generation)":
@@ -277,13 +178,13 @@ func TestLookupBatchStats(t *testing.T) {
 	}
 
 	tb.ResetStats()
-	single := tb.LookupSingleBatch([]uint64{9, 1, 12}, nil)
-	if single[0] == nil || single[1] != nil || single[2] == nil {
-		t.Fatalf("single batch results = %v", single)
+	ords, _ := tb.LookupIndexBatch([]uint64{9, 1, 12}, nil)
+	if ords[0] < 0 || ords[1] >= 0 || ords[2] < 0 {
+		t.Fatalf("index batch ordinals = %v", ords)
 	}
 	s = tb.Stats()
 	if s.Lookups != 3 || s.Hits != 2 || s.Misses != 1 {
-		t.Errorf("single-batch stats = %+v, want 3 lookups / 2 hits / 1 miss", s)
+		t.Errorf("index-batch stats = %+v, want 3 lookups / 2 hits / 1 miss", s)
 	}
 
 	// Arity mismatch: every key misses, nothing panics.
@@ -293,24 +194,23 @@ func TestLookupBatchStats(t *testing.T) {
 }
 
 // TestLookupSnapshotStableAcrossUpdate: an entry returned by Lookup belongs
-// to an immutable snapshot — a subsequent UpdateData must not mutate it
-// under the caller.
+// to an immutable snapshot — a subsequent data-only rewrite of the installed
+// entry must not mutate it under the caller.
 func TestLookupSnapshotStableAcrossUpdate(t *testing.T) {
 	tb := MustNew("snap", 0, 4)
 	p := bitstr.MustNew(0b0100, 2, 4)
-	id, err := tb.InsertPrefix(p, 0, "old")
-	if err != nil {
+	if _, err := tb.InsertPrefix(p, 0, "old"); err != nil {
 		t.Fatal(err)
 	}
 	e, ok := tb.Lookup(5)
 	if !ok {
 		t.Fatal("miss")
 	}
-	if err := tb.UpdateData(id, "new"); err != nil {
+	if _, err := tb.ApplyRowsAtomic([]Row{RowFromPrefix(p, "new")}); err != nil {
 		t.Fatal(err)
 	}
 	if e.Data.(string) != "old" {
-		t.Error("held snapshot entry mutated by UpdateData")
+		t.Error("held snapshot entry mutated by the rewrite")
 	}
 	if e2, _ := tb.Lookup(5); e2.Data.(string) != "new" {
 		t.Error("fresh lookup does not see the update")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/ada-repro/ada/internal/tcam"
+	"github.com/ada-repro/ada/internal/tcam/tcamtest"
 	"github.com/ada-repro/ada/internal/tenant"
 )
 
@@ -73,20 +74,19 @@ func uniformKeys(rng *rand.Rand, s *tenant.Slice, n int) []uint64 {
 	return flat
 }
 
-// checkSlice cross-checks a slice's batch ordinals against the brute-force
-// reference scan of the shared table.
+// checkSlice cross-checks a slice's batch ordinals, which are ordinals of
+// the shared table, against the tcamtest oracle over the shared table.
 func checkSlice(t *testing.T, p *tenant.Partition, s *tenant.Slice, flat []uint64) {
 	t.Helper()
 	arity := len(s.FieldWidths())
-	ords, pay := s.LookupIndexBatch(flat, nil)
+	entries := p.Table().Entries()
+	ords, _ := s.LookupIndexBatch(flat, nil)
 	for i, ord := range ords {
 		phys := make([]uint64, 3)
 		phys[0] = s.ID()
 		copy(phys[1:], flat[i*arity:(i+1)*arity])
-		all := p.Table().LookupAll(phys...)
-		got := pay.Entry(ord)
-		if (got != nil) != (len(all) > 0) || got != nil && got.ID != all[0].ID {
-			t.Fatalf("%s key %#x: ordinal %d entry %v, reference %d matches", s.Name(), phys, ord, got, len(all))
+		if want := tcamtest.Winner(entries, phys...); int(ord) != want {
+			t.Fatalf("%s key %#x: ordinal %d, oracle %d", s.Name(), phys, ord, want)
 		}
 	}
 }

@@ -1,27 +1,11 @@
-package tcam
+package tcam_test
 
 import (
-	"hash/fnv"
-	"math/rand"
 	"testing"
 
 	"github.com/ada-repro/ada/internal/bitstr"
+	"github.com/ada-repro/ada/internal/tcam"
 )
-
-// fuzzBytes hands out fuzz input bytes as table-shape decisions, yielding
-// zeros once the input runs out.
-type fuzzBytes []byte
-
-func (b *fuzzBytes) next() int {
-	if len(*b) == 0 {
-		return 0
-	}
-	v := (*b)[0]
-	*b = (*b)[1:]
-	return int(v)
-}
-
-func (b *fuzzBytes) intn(n int) int { return b.next() % n }
 
 // keyedIDWidth is the fuzzed tables' field-0 width, the tenant-ID field of
 // a default tenant.Partition.
@@ -29,29 +13,29 @@ const keyedIDWidth = 8
 
 // FuzzKeyedIndex builds random three-field tables whose field 0 is exact on
 // every entry — the shape that compiles to the keyed form — and checks every
-// LookupIndexBatch ordinal and every Lookup winner against the first entry
-// of the brute-force LookupAll. Each field-0 value gets one partition shape:
-// a disjoint tiling of one operand field (the other wildcarded), a product
-// tiling of both, all-wildcard entries, or random prefixes that nest and
-// overlap (forcing that partition's trie fallback); duplicate match keys at
-// other priorities are sprinkled on top. Probe keys mix known and unknown
-// IDs and carry bits above every field width.
+// LookupIndexBatch ordinal and every Lookup winner against the tcamtest
+// oracle. Each field-0 value gets one partition shape: a disjoint tiling of
+// one operand field (the other wildcarded), a product tiling of both,
+// all-wildcard entries, or random prefixes that nest and overlap (forcing
+// that partition's trie fallback); duplicate match keys at other priorities
+// are sprinkled on top. Probe keys mix known and unknown IDs and carry bits
+// above every field width.
 func FuzzKeyedIndex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		wx, wy := 1+in.intn(12), 1+in.intn(12)
 		widths := [3]int{keyedIDWidth, wx, wy}
-		tb := MustNew("keyed", 0, widths[:]...)
+		tb := tcam.MustNew("keyed", 0, widths[:]...)
 		seq := 0
 		insert := func(id uint64, x, y bitstr.Prefix) {
-			fields := []Field{{Value: id, Mask: lowMask(keyedIDWidth)}, FieldFromPrefix(x), FieldFromPrefix(y)}
+			fields := []tcam.Field{{Value: id, Mask: widthMask(keyedIDWidth)}, tcam.FieldFromPrefix(x), tcam.FieldFromPrefix(y)}
 			if _, err := tb.Insert(fields, in.intn(4), uint64(seq)); err != nil {
 				t.Fatal(err)
 			}
 			seq++
 		}
 		prefix := func(w, depth int, v uint64) bitstr.Prefix {
-			return bitstr.MustNew((v<<uint(w-depth))&lowMask(w), depth, w)
+			return bitstr.MustNew((v<<uint(w-depth))&widthMask(w), depth, w)
 		}
 		random := func(w int) bitstr.Prefix {
 			d := in.intn(w + 1)
@@ -99,13 +83,11 @@ func FuzzKeyedIndex(f *testing.F) {
 				seq++
 			}
 		}
-		if !tb.loadIndex().keyed {
-			t.Fatal("exact field-0 table did not compile to the keyed form")
+		if kind, _, _ := tcam.CompiledForm(tb); kind != "keyed" {
+			t.Fatalf("exact field-0 table compiled to %q, want keyed", kind)
 		}
 
-		h := fnv.New64a()
-		h.Write(data)
-		rng := rand.New(rand.NewSource(int64(h.Sum64())))
+		rng := probeRNG(data)
 		const probes = 256
 		flat := make([]uint64, 0, 3*probes)
 		for p := 0; p < probes; p++ {
@@ -113,7 +95,7 @@ func FuzzKeyedIndex(f *testing.F) {
 			if rng.Intn(4) != 0 {
 				id = ids[rng.Intn(len(ids))]
 			}
-			key := [3]uint64{id, rng.Uint64() & lowMask(wx), rng.Uint64() & lowMask(wy)}
+			key := [3]uint64{id, rng.Uint64() & widthMask(wx), rng.Uint64() & widthMask(wy)}
 			if rng.Intn(8) == 0 {
 				for f, w := range widths {
 					key[f] |= rng.Uint64() << uint(w) // bits above the field width
@@ -121,18 +103,6 @@ func FuzzKeyedIndex(f *testing.F) {
 			}
 			flat = append(flat, key[:]...)
 		}
-		ords, pay := tb.LookupIndexBatch(flat, nil)
-		for p, ord := range ords {
-			key := flat[3*p : 3*p+3]
-			all := tb.LookupAll(key...)
-			got := pay.Entry(ord)
-			if (got != nil) != (len(all) > 0) || got != nil && got.ID != all[0].ID {
-				t.Fatalf("key %#x: ordinal %d entry %v, reference %d matches", key, ord, got, len(all))
-			}
-			e, ok := tb.Lookup(key...)
-			if ok != (len(all) > 0) || ok && e.ID != all[0].ID {
-				t.Fatalf("key %#x: Lookup (%v, %v), reference %d matches", key, e, ok, len(all))
-			}
-		}
+		checkOracle(t, tb, flat)
 	})
 }

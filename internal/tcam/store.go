@@ -3,25 +3,30 @@ package tcam
 import "fmt"
 
 // Store is the table surface the arithmetic engines and the control plane
-// program against: the lookup fast path plus the transactional mutation,
-// accounting, and fingerprinting contract of a *Table. A Store is either a
-// physical *Table or a tenant slice of one (internal/tenant), which lets
-// several ADA operations share a single calculation TCAM without the layers
-// above knowing.
+// program against: the lookup paths plus the transactional mutation,
+// accounting, and fingerprinting contract of a *Table. A Store is a
+// physical *Table, a *TieredStore, or a tenant slice of a shared table
+// (internal/tenant), which lets several ADA operations share a single
+// calculation TCAM without the layers above knowing.
 type Store interface {
 	// Lookup resolves one key tuple LPM-style (sig bits desc, priority
-	// desc, insertion seq asc).
+	// desc, insertion seq asc). A tuple of the wrong arity misses.
 	Lookup(keys ...uint64) (*Entry, bool)
-	// LookupBatch resolves many key tuples; result i is nil on miss.
-	LookupBatch(keys [][]uint64) []*Entry
-	// LookupSingleBatch is the single-field fast path; dst is reused when
-	// large enough.
-	LookupSingleBatch(keys []uint64, dst []*Entry) []*Entry
 	// LookupIndexBatch is the zero-allocation hot path: packed key tuples
 	// resolve to dense snapshot ordinals (−1 = miss) plus a typed payload
 	// view, with dst reused when large enough. See Table.LookupIndexBatch
 	// for the ordinal/payload pairing contract.
 	LookupIndexBatch(flat []uint64, dst []int32) ([]int32, Payloads)
+	// LookupSnapshot returns the current compiled snapshot's typed payload
+	// view plus a generation token that changes whenever that snapshot
+	// changes. Two calls returning the same token describe the same
+	// immutable snapshot, so ordinals obtained under that token stay valid
+	// against the returned Payloads; LookupCache keys itself on it. The
+	// token is deliberately not Table.Generation(): the bulk-commit
+	// generation stands still across single-row writes, tampering, and
+	// tier re-placement, all of which change what the data plane serves
+	// (see the package doc).
+	LookupSnapshot() (Payloads, uint64)
 
 	// ApplyRowsAtomic reconciles the store contents toward rows with
 	// minimal writes, all-or-nothing.

@@ -59,8 +59,8 @@ func (op WriteOp) String() string {
 }
 
 // WriteHook is consulted before every physical row write. Returning an error
-// aborts that write; whether earlier writes of the same bulk operation remain
-// applied depends on the operation (see ApplyRows vs ApplyRowsAtomic). The
+// aborts that write; every bulk operation (ReplaceAll, ApplyRowsAtomic,
+// ApplyDelta) then leaves the table exactly as it was before the call. The
 // hook runs with the table lock held and must not call back into the table.
 type WriteHook func(WriteOp) error
 
@@ -131,8 +131,8 @@ type counters struct {
 }
 
 // Table is a ternary match table with bounded capacity. It is safe for
-// concurrent use; Lookup and LookupBatch are lock-free against a compiled
-// index snapshot (see index.go) and scale across goroutines.
+// concurrent use; Lookup and LookupIndexBatch are lock-free against a
+// compiled index snapshot (see index.go) and scale across goroutines.
 type Table struct {
 	mu sync.RWMutex
 
@@ -298,10 +298,9 @@ func (t *Table) SetWriteHook(h WriteHook) {
 }
 
 // Generation returns the bulk-commit generation: it advances by one each
-// time ReplaceAll, ApplyRows, ApplyRowsAtomic, or ApplyDelta completes
-// successfully, and never on a failed or rolled-back commit. Invariant checks
-// use it to assert a table is either fully old-generation or fully
-// new-generation.
+// time ReplaceAll, ApplyRowsAtomic, or ApplyDelta completes successfully,
+// and never on a failed or rolled-back commit. Invariant checks use it to
+// assert a table is either fully old-generation or fully new-generation.
 func (t *Table) Generation() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -461,25 +460,6 @@ func (t *Table) Delete(id int) error {
 	return nil
 }
 
-// UpdateData replaces the action data of an existing entry in place. This
-// models the cheap control-plane write that rewrites an action without
-// touching the match key.
-func (t *Table) UpdateData(id int, data any) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.entries[id]
-	if !ok {
-		return fmt.Errorf("%w: id %d in table %q", ErrNotFound, id, t.name)
-	}
-	if err := t.writeLocked(WriteUpdate); err != nil {
-		return err
-	}
-	e.Data = data
-	t.stats.updates.Add(1)
-	t.dirtyLocked()
-	return nil
-}
-
 // Clear removes all entries. Each removed entry counts as one delete, since
 // the control plane pays per-entry to invalidate TCAM rows.
 func (t *Table) Clear() {
@@ -513,7 +493,8 @@ func (t *Table) Lookup(keys ...uint64) (*Entry, bool) {
 // LookupBatch resolves many multi-field keys against one compiled snapshot
 // and returns the winners positionally (nil = miss). All results come from
 // the same committed generation — a bulk commit racing with the batch is
-// observed either entirely or not at all.
+// observed either entirely or not at all. It is kept for the data-plane
+// benchmark's pre-optimisation replica only (see LookupSingleBatchTrie).
 func (t *Table) LookupBatch(keys [][]uint64) []*Entry {
 	out := make([]*Entry, len(keys))
 	if len(keys) == 0 {
@@ -536,49 +517,16 @@ func (t *Table) LookupBatch(keys [][]uint64) []*Entry {
 	return out
 }
 
-// LookupSingleBatch is LookupBatch for single-field tables, avoiding the
-// per-key slice allocations of the general form. dst is reused when it has
-// the capacity. On a multi-field table every key misses.
-func (t *Table) LookupSingleBatch(keys []uint64, dst []*Entry) []*Entry {
-	if cap(dst) >= len(keys) {
-		dst = dst[:len(keys)]
-		for i := range dst {
-			dst[i] = nil
-		}
-	} else {
-		dst = make([]*Entry, len(keys))
-	}
-	if len(keys) == 0 {
-		return dst
-	}
-	if len(t.fieldWidths) != 1 {
-		t.stats.lookups.Add(uint64(len(keys)))
-		t.stats.misses.Add(uint64(len(keys)))
-		return dst
-	}
-	ix := t.loadIndex()
-	var hits uint64
-	kbuf := make([]uint64, 1)
-	for i, k := range keys {
-		kbuf[0] = k
-		if e := ix.lookup(kbuf); e != nil {
-			dst[i] = e
-			hits++
-		}
-	}
-	t.stats.lookups.Add(uint64(len(keys)))
-	t.stats.hits.Add(hits)
-	t.stats.misses.Add(uint64(len(keys)) - hits)
-	return dst
-}
-
-// LookupSingleBatchTrie is LookupSingleBatch pinned to the compiled trie
-// walk, bypassing the range-compiled fast path single-field tables usually
-// resolve through. Like LookupAll's linear scan it is a reference path: the
-// differential tests cross-check the range compilation against it, and the
-// data-plane throughput benchmark uses it to replicate the
-// pre-optimisation per-sample cost. Results are bit-identical to
-// LookupSingleBatch.
+// LookupSingleBatchTrie resolves single-field keys to winning entries
+// (nil on miss) through the compiled trie walk, bypassing the range-compiled
+// fast path single-field tables usually resolve through. dst is reused when
+// it has the capacity; on a multi-field table every key misses. Results are
+// bit-identical to LookupIndexBatch's.
+//
+// It and LookupBatch are not part of Store: the data-plane throughput
+// benchmark's replica of the pre-optimisation path calls them to reproduce
+// that path's per-sample cost, and the differential tests cross-check the
+// range compilation against the trie through it.
 func (t *Table) LookupSingleBatchTrie(keys []uint64, dst []*Entry) []*Entry {
 	if cap(dst) >= len(keys) {
 		dst = dst[:len(keys)]
@@ -728,33 +676,14 @@ func (t *Table) LookupIndexBatch(flat []uint64, dst []int32) ([]int32, Payloads)
 	return dst, Payloads{entries: ix.entries, vals: ix.payload, typed: ix.typed}
 }
 
-// LookupSnapshot implements Snapshotter: the current compiled snapshot's
-// payload view plus its generation token. The token is the compiled-index
-// sequence, which advances on every content change — bulk commits,
-// single-row writes, rollbacks, and silent tampering alike — so a
-// LookupCache keyed on it can never serve an ordinal from a superseded
-// snapshot.
+// LookupSnapshot returns the current compiled snapshot's payload view plus
+// its generation token. The token is the compiled-index sequence, which
+// advances on every content change — bulk commits, single-row writes,
+// rollbacks, and silent tampering alike — so a LookupCache keyed on it can
+// never serve an ordinal from a superseded snapshot.
 func (t *Table) LookupSnapshot() (Payloads, uint64) {
 	ix := t.loadIndex()
 	return Payloads{entries: ix.entries, vals: ix.payload, typed: ix.typed}, ix.version
-}
-
-// LookupAll returns every matching entry in resolution order. This is the
-// reference linear scan the compiled index is differentially tested against;
-// it deliberately bypasses the index.
-func (t *Table) LookupAll(keys ...uint64) []*Entry {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if len(keys) != len(t.fieldWidths) {
-		return nil
-	}
-	var out []*Entry
-	for _, e := range t.ordered {
-		if matchAll(e.Fields, keys) {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 func matchAll(fields []Field, keys []uint64) bool {
@@ -818,43 +747,17 @@ func (t *Table) ReplaceAll(rows []Row) (writes int, err error) {
 	return writes, nil
 }
 
-// ApplyRows reconciles the table contents toward the given rows with the
-// minimum number of TCAM writes: rows whose match key and action data are
+// ApplyRowsAtomic reconciles the table contents toward the given rows with
+// the minimum number of TCAM writes: rows whose match key and action data are
 // already installed cost nothing, rows whose key exists but whose data
 // changed cost one action rewrite, and only genuinely new/stale rows cost
 // an insert/delete. This models a real switch driver, which diffs against
 // its shadow copy instead of re-flashing the table (and is what keeps the
-// paper's Table II write counts low).
+// paper's Table II write counts low). The end state on success is identical
+// to ReplaceAll(rows); only the write accounting differs.
 //
-// Partial-failure contract: row writes are issued in update, delete, insert
-// order, and when one fails (a write hook error) ApplyRows stops and returns
-// the error with every earlier write still applied — exactly how a
-// non-transactional driver leaves a table. Callers that need all-or-nothing
-// semantics must use ApplyRowsAtomic.
-//
-// The end state on success is identical to ReplaceAll(rows); only the write
-// accounting differs.
-func (t *Table) ApplyRows(rows []Row) (writes int, err error) {
-	for _, r := range rows {
-		if err := t.validateFields(r.Fields); err != nil {
-			return 0, err
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	writes, err = t.applyRowsLocked(rows)
-	if err == nil {
-		t.generation++
-	}
-	// A partial failure still mutated the table, so the index must be
-	// recompiled either way.
-	t.dirtyLocked()
-	return writes, err
-}
-
-// ApplyRowsAtomic is ApplyRows with transactional semantics: the
-// reconciliation is staged against a shadow snapshot of the table, and on
-// any row-write failure the table (entries, counters, generation) is
+// The reconciliation is staged against a shadow snapshot of the table, and
+// on any row-write failure the table (entries, counters, generation) is
 // restored to its pre-call state. This models rebuilding the calculation
 // population into a shadow generation and committing it atomically, so a
 // data-plane lookup never observes a partially populated table.
@@ -877,8 +780,9 @@ func (t *Table) ApplyRowsAtomic(rows []Row) (writes int, err error) {
 	return writes, nil
 }
 
-// applyRowsLocked is the shared reconciliation. On a row-write failure it
-// returns immediately with earlier writes applied; t.mu must be held.
+// applyRowsLocked is ApplyRowsAtomic's reconciliation. On a row-write
+// failure it returns immediately with earlier writes applied, for the caller
+// to roll back; t.mu must be held.
 func (t *Table) applyRowsLocked(rows []Row) (writes int, err error) {
 	if t.capacity > 0 && len(rows) > t.capacity {
 		return 0, &CapacityError{Table: t.name, Capacity: t.capacity, Installed: len(t.entries), Requested: len(rows)}
@@ -936,7 +840,7 @@ func (t *Table) applyRowsLocked(rows []Row) (writes int, err error) {
 
 // ApplyDelta applies an incremental reconciliation: deletes removes installed
 // rows by match key, upserts installs new rows or rewrites the action data of
-// rows already installed under the same key. Unlike ApplyRows* it never
+// rows already installed under the same key. Unlike ApplyRowsAtomic it never
 // visits unchanged entries, so a converged round costs O(delta), not
 // O(table).
 //
@@ -1124,8 +1028,8 @@ func dataEqual(a, b any) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// Row is the insert-time description of an entry, used by ReplaceAll and
-// ApplyRows.
+// Row is the insert-time description of an entry, used by the bulk
+// reconciliations.
 type Row struct {
 	Fields   []Field
 	Priority int

@@ -131,7 +131,8 @@ func TestDeleteAndUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.UpdateData(id, "b"); err != nil {
+	// A data-only reconcile rewrites the installed entry in place.
+	if _, err := tb.ApplyRowsAtomic([]Row{RowFromPrefix(p, "b")}); err != nil {
 		t.Fatal(err)
 	}
 	e, ok := tb.Lookup(0x41)
@@ -146,9 +147,6 @@ func TestDeleteAndUpdate(t *testing.T) {
 	}
 	if err := tb.Delete(id); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double delete error = %v, want ErrNotFound", err)
-	}
-	if err := tb.UpdateData(999, nil); !errors.Is(err, ErrNotFound) {
-		t.Errorf("update missing error = %v, want ErrNotFound", err)
 	}
 }
 
@@ -223,7 +221,7 @@ func TestStats(t *testing.T) {
 	id, _ := tb.InsertPrefix(p, 0, nil)
 	tb.Lookup(5)
 	tb.Lookup(1)
-	_ = tb.UpdateData(id, "x")
+	_, _ = tb.ApplyRowsAtomic([]Row{RowFromPrefix(p, "x")})
 	_ = tb.Delete(id)
 	s := tb.Stats()
 	want := Stats{Lookups: 2, Hits: 1, Misses: 1, Inserts: 1, Deletes: 1, Updates: 1}
@@ -341,7 +339,10 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-func TestLookupAllOrder(t *testing.T) {
+// TestEntriesResolutionOrder: Entries lists the longer prefix first even
+// when it was inserted later — the order the tcamtest oracle's first-match
+// scan relies on.
+func TestEntriesResolutionOrder(t *testing.T) {
 	tb := MustNew("t", 0, 4)
 	root, _ := bitstr.Root(4)
 	deep := bitstr.MustNew(0b0100, 2, 4)
@@ -351,8 +352,8 @@ func TestLookupAllOrder(t *testing.T) {
 	if _, err := tb.InsertPrefix(deep, 0, "deep"); err != nil {
 		t.Fatal(err)
 	}
-	all := tb.LookupAll(5)
+	all := tb.Entries()
 	if len(all) != 2 || all[0].Data.(string) != "deep" || all[1].Data.(string) != "root" {
-		t.Fatalf("LookupAll order wrong: %v", all)
+		t.Fatalf("Entries order wrong: %v", all)
 	}
 }

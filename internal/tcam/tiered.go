@@ -60,7 +60,7 @@ type RowHeat func(fields []Field, priority int) uint64
 // union entry/payload arrays batch lookups hand out.
 type tieredSnap struct {
 	seq     uint64
-	token   uint64 // monotonic snapshot generation (Snapshotter contract)
+	token   uint64 // monotonic snapshot generation (Store.LookupSnapshot)
 	hot     *index
 	cold    *sramIndex
 	entries []*Entry
@@ -232,7 +232,7 @@ func (s *TieredStore) rebuildSnap() *tieredSnap {
 	return sn
 }
 
-// LookupSnapshot implements Snapshotter over the combined two-tier
+// LookupSnapshot implements Store.LookupSnapshot over the combined two-tier
 // snapshot. The token advances whenever the snapshot recompiles — content
 // mutations, tier re-placement, and tampering in either tier — so cached
 // ordinals never outlive the entry/payload arrays they index.
@@ -251,46 +251,6 @@ func (s *TieredStore) Lookup(keys ...uint64) (*Entry, bool) {
 		return e, true
 	}
 	return nil, false
-}
-
-// LookupBatch resolves many key tuples against one combined snapshot;
-// result i is nil on miss.
-func (s *TieredStore) LookupBatch(keys [][]uint64) []*Entry {
-	out := make([]*Entry, len(keys))
-	if len(keys) == 0 {
-		return out
-	}
-	sn := s.loadSnap()
-	for i, ks := range keys {
-		if len(ks) != len(s.widths) {
-			continue
-		}
-		out[i] = sn.lookup(ks)
-	}
-	return out
-}
-
-// LookupSingleBatch is the single-field batch path; dst is reused when large
-// enough. On a multi-field store every key misses.
-func (s *TieredStore) LookupSingleBatch(keys []uint64, dst []*Entry) []*Entry {
-	if cap(dst) >= len(keys) {
-		dst = dst[:len(keys)]
-		for i := range dst {
-			dst[i] = nil
-		}
-	} else {
-		dst = make([]*Entry, len(keys))
-	}
-	if len(keys) == 0 || len(s.widths) != 1 {
-		return dst
-	}
-	sn := s.loadSnap()
-	var kbuf [1]uint64
-	for i, k := range keys {
-		kbuf[0] = k
-		dst[i] = sn.lookup(kbuf[:])
-	}
-	return dst
 }
 
 // LookupIndexBatch is the zero-allocation hot path over the combined

@@ -47,8 +47,8 @@ func mustTiered(t *testing.T, tcamEntries, capacity int, widths ...int) *TieredS
 }
 
 // assertLookupParity checks every key of the width-bit domain resolves
-// identically through the tiered store and the reference table, across all
-// four lookup surfaces.
+// identically through the tiered store and the reference table, through
+// both lookup surfaces.
 func assertLookupParity(t *testing.T, ts *TieredStore, ref *Table, width int) {
 	t.Helper()
 	n := uint64(1) << uint(width)
@@ -67,21 +67,20 @@ func assertLookupParity(t *testing.T, ts *TieredStore, ref *Table, width int) {
 			t.Fatalf("Lookup(%d): tiered %v, table %v", k, te.Data, re.Data)
 		}
 	}
-	// Batch surfaces against one snapshot each.
-	single := ts.LookupSingleBatch(keys, nil)
-	refSingle := ref.LookupSingleBatch(keys, nil)
+	// Batch lookups against one snapshot each.
 	ords, pay := ts.LookupIndexBatch(keys, nil)
+	refOrds, refPay := ref.LookupIndexBatch(keys, nil)
 	for i, k := range keys {
 		var want any
-		if refSingle[i] != nil {
-			want = refSingle[i].Data
+		if e := refPay.Entry(refOrds[i]); e != nil {
+			want = e.Data
 		}
 		var got any
-		if single[i] != nil {
-			got = single[i].Data
+		if e := pay.Entry(ords[i]); e != nil {
+			got = e.Data
 		}
 		if !dataEqual(got, want) {
-			t.Fatalf("LookupSingleBatch(%d): tiered %v, table %v", k, got, want)
+			t.Fatalf("LookupIndexBatch(%d): tiered entry %v, table %v", k, got, want)
 		}
 		if want == nil {
 			if ords[i] >= 0 {

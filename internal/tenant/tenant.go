@@ -379,7 +379,9 @@ type sliceRow struct {
 
 // Slice is one tenant's view of the shared table. It implements tcam.Store:
 // the arithmetic engines and control plane treat it exactly like a private
-// table whose capacity is the slice's current quota.
+// table whose capacity is the slice's current quota. Lookup and
+// LookupIndexBatch translate tenant-local key tuples to the physical layout;
+// LookupSnapshot is the shared table's, whose ordinals they return.
 type Slice struct {
 	p      *Partition
 	name   string
@@ -486,56 +488,20 @@ func (s *Slice) physRow(fields []tcam.Field, priority int, data any) (tcam.Row, 
 	return tcam.Row{Fields: pf, Priority: s.bandLo + priority, Data: data}, nil
 }
 
-// physKeys translates lookup keys, padding unused physical fields with 0
-// (matched by their wildcard fields).
-func (s *Slice) physKeys(keys []uint64) []uint64 {
-	pk := make([]uint64, 1+len(s.p.cfg.OperandWidths))
-	pk[0] = s.id
-	copy(pk[1:], keys)
-	return pk
-}
-
 // Lookup resolves one tenant-local key tuple. The fully-specified tenant-ID
 // field restricts resolution to this slice's rows; within them, LPM order is
 // identical to a private table (the ID field adds a constant to every sig
-// count, the band a constant to every priority).
+// count, the band a constant to every priority). Like a private table, a
+// tuple whose arity differs from the slice's misses; the unused physical
+// operand fields are zero-padded, which their wildcards match.
 func (s *Slice) Lookup(keys ...uint64) (*tcam.Entry, bool) {
-	return s.p.phys.Lookup(s.physKeys(keys)...)
-}
-
-// LookupBatch resolves many tenant-local key tuples against one compiled
-// snapshot of the shared table.
-func (s *Slice) LookupBatch(keys [][]uint64) []*tcam.Entry {
-	pk := make([][]uint64, len(keys))
-	for i, k := range keys {
-		pk[i] = s.physKeys(k)
+	if len(keys) != len(s.widths) {
+		return nil, false
 	}
-	return s.p.phys.LookupBatch(pk)
-}
-
-// LookupSingleBatch is the single-operand batch path. The shared table has
-// more than one field, so it expands to the generic batch lookup, which
-// resolves through the shared table's keyed form: one load on the tenant
-// ID picks this slice's partition, whose wildcarded second operand field is
-// dropped, leaving the same range resolve a private single-field table
-// runs.
-func (s *Slice) LookupSingleBatch(keys []uint64, dst []*tcam.Entry) []*tcam.Entry {
-	pk := make([][]uint64, len(keys))
-	buf := make([]uint64, len(keys)*(1+len(s.p.cfg.OperandWidths)))
-	stride := 1 + len(s.p.cfg.OperandWidths)
-	for i, k := range keys {
-		row := buf[i*stride : i*stride+stride : i*stride+stride]
-		row[0] = s.id
-		row[1] = k
-		pk[i] = row
-	}
-	out := s.p.phys.LookupBatch(pk)
-	if cap(dst) >= len(out) {
-		dst = dst[:len(out)]
-		copy(dst, out)
-		return dst
-	}
-	return out
+	pk := make([]uint64, 1+len(s.p.cfg.OperandWidths))
+	pk[0] = s.id
+	copy(pk[1:], keys)
+	return s.p.phys.Lookup(pk...)
 }
 
 // physFlatPool recycles the translated key buffers LookupIndexBatch packs,
@@ -572,17 +538,14 @@ func (s *Slice) LookupIndexBatch(flat []uint64, dst []int32) ([]int32, tcam.Payl
 	return ords, pay
 }
 
-// LookupSnapshot implements tcam.Snapshotter by delegating to the shared
-// physical table: the ordinals a slice lookup returns are physical-table
-// ordinals, so the physical snapshot generation is the correct validity
-// token. Any tenant's commit (or an Unmount tearing a neighbour's rows out)
-// advances it, which is conservative for the other tenants' caches but
-// never stale.
+// LookupSnapshot delegates to the shared physical table: the ordinals a
+// slice lookup returns are physical-table ordinals, so the physical snapshot
+// generation is the correct validity token. Any tenant's commit (or an
+// Unmount tearing a neighbour's rows out) advances it, which is
+// conservative for the other tenants' caches but never stale.
 func (s *Slice) LookupSnapshot() (tcam.Payloads, uint64) {
 	return s.p.phys.LookupSnapshot()
 }
-
-var _ tcam.Snapshotter = (*Slice)(nil)
 
 // ApplyRowsAtomic reconciles the slice toward rows, all-or-nothing, with the
 // same write accounting as a private table: unchanged rows cost nothing,

@@ -77,9 +77,47 @@ func TestSliceUnusedOperandFieldsWildcarded(t *testing.T) {
 	if e, ok := s.Lookup(3); !ok || e.Data != uint64(9) {
 		t.Fatalf("Lookup(3) = %v, %v", e, ok)
 	}
-	res := s.LookupSingleBatch([]uint64{3, 4}, nil)
-	if res[0] == nil || res[0].Data != uint64(9) || res[1] != nil {
-		t.Fatalf("LookupSingleBatch = %v", res)
+	ords, pay := s.LookupIndexBatch([]uint64{3, 4}, nil)
+	if e := pay.Entry(ords[0]); e == nil || e.Data != uint64(9) || ords[1] >= 0 {
+		t.Fatalf("LookupIndexBatch = %v", ords)
+	}
+}
+
+// TestSliceLookupArityMatchesPrivateTable: a tuple whose arity differs from
+// the slice's must miss exactly as it does on a private table with the same
+// rows — neither padded with zeros nor truncated to the slice's arity.
+func TestSliceLookupArityMatchesPrivateTable(t *testing.T) {
+	p := mustPartition(t, 16, 8, 8, 8)
+	wildcard := tcam.Field{Value: 0, Mask: 0}
+	for _, tc := range []struct {
+		name   string
+		widths []int
+		row    []tcam.Field
+		keys   [][]uint64
+	}{
+		{"unary", []int{8}, []tcam.Field{wildcard},
+			[][]uint64{{}, {0}, {0, 7}, {0, 0}, {0, 0, 5}, {0, 0, 0, 0}}},
+		{"binary", []int{8, 8}, []tcam.Field{wildcard, wildcard},
+			[][]uint64{{}, {3}, {3, 4}, {3, 4, 0}, {3, 4, 5, 6}}},
+	} {
+		s, err := p.Open(tc.name, tc.widths, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		private := tcam.MustNew(tc.name, 4, tc.widths...)
+		rows := []tcam.Row{{Fields: tc.row, Data: uint64(1)}}
+		for _, st := range []tcam.Store{s, private} {
+			if _, err := st.ApplyRowsAtomic(rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range tc.keys {
+			_, got := s.Lookup(k...)
+			_, want := private.Lookup(k...)
+			if got != want {
+				t.Errorf("%s: Lookup(%v) hit=%v on the slice, %v on a private table", tc.name, k, got, want)
+			}
+		}
 	}
 }
 
@@ -421,9 +459,9 @@ func TestBinarySlice(t *testing.T) {
 	if _, ok := s.Lookup(4, 3); ok {
 		t.Fatal("Lookup(4,3) hit")
 	}
-	res := s.LookupBatch([][]uint64{{3, 4}, {0, 0}})
-	if res[0] == nil || res[1] != nil {
-		t.Fatalf("LookupBatch = %v", res)
+	ords, pay := s.LookupIndexBatch([]uint64{3, 4, 0, 0}, nil)
+	if e := pay.Entry(ords[0]); e == nil || e.Data != uint64(12) || ords[1] >= 0 {
+		t.Fatalf("LookupIndexBatch = %v", ords)
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
