@@ -1,11 +1,12 @@
-// Command adabench regenerates the paper's tables and figures.
+// Command adabench regenerates the paper's tables and figures, and the
+// repository's nine committed benchmarks.
 //
 // Usage:
 //
-//	adabench [-parallel N] [-zipf S] [-lookup-out FILE] [-round-out FILE] [-tenant-out FILE] [-dataplane-out FILE] [-recovery-out FILE] [-tiered-out FILE] [-fabric-out FILE] [-serve-out FILE] [-cache-out FILE] [experiment...]
+//	adabench [-out DIR] [-parallel N] [-zipf S] [experiment...]
 //
 // Experiments: cache dataplane fabric fig1a fig1b fig1c fig5 fig6 fig7a
-// fig7b fig7c fig8 fig9 fig10 lookup recovery roundbench serve table2 tenant
+// fig7b fig7c fig8 fig9 fig10 lookup recovery round serve table2 tenant
 // tiered xcp all (default: all). cache is the lookup-cache experiment: a
 // Zipf-skew × cache-size sweep comparing cached vs uncached single-thread
 // eval throughput (plus standalone intra-batch dedup rows), with a built-in
@@ -30,35 +31,38 @@
 // static equal placement, reporting aggregate error, per-switch round
 // latency under injected faults, and the replay-scaling grid.
 //
+// -out DIR writes each named benchmark's typed result to DIR/BENCH_<name>.json
+// (the committed baselines; `make bench-json` regenerates all nine) in
+// addition to printing its table. Every file is one envelope,
+// {"env": {...}, "result": ...}: env records the host (Go version, GOOS,
+// GOARCH, NumCPU, GOMAXPROCS) and the build's VCS revision and modified
+// flag ("unknown" when the binary carries no VCS stamp, as under `go run`).
+// The paper figures have no artefact and write no file.
+//
 // -parallel sets the replay worker count for the experiments that feed
 // operand streams through the monitoring path (fig7c, fig9, dataplane,
 // fabric); 0 uses all cores, 1 restores the sequential replay. Results are
 // worker-count independent — register increments are commutative.
-// -lookup-out writes the lookup microbenchmark rows as JSON (the committed
-// BENCH_lookup.json baseline) in addition to printing the table; -round-out
-// does the same for the control-round benchmark (BENCH_round.json),
-// -tenant-out for the multi-tenant sharing benchmark (BENCH_tenant.json),
-// -dataplane-out for the data-plane throughput benchmark
-// (BENCH_dataplane.json), -recovery-out for the corruption-recovery
-// benchmark (BENCH_recovery.json), -tiered-out for the tiered-store budget
-// sweep (BENCH_tiered.json), -fabric-out for the sharded-fabric benchmark
-// (BENCH_fabric.json), -serve-out for the service-mode soak
-// (BENCH_serve.json), and -cache-out for the lookup-cache sweep
-// (BENCH_cache.json).
 //
 // -zipf overrides the operand-stream Zipf exponent for the dataplane and
 // serve experiments (0 = uniform draws; negative keeps each experiment's
 // default workload); the chosen skew is recorded in the JSON rows so
 // committed baselines are self-describing.
 //
-// Invalid flag values (e.g. a negative -parallel) are usage errors: adabench
-// prints the usage text and exits with status 2; experiment failures exit 1.
+// adabench checks every input before it runs anything: an unknown
+// experiment name, a missing -out directory or a negative -parallel is a
+// usage error (usage text, exit status 2). Experiment failures exit 1.
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"time"
 
@@ -66,206 +70,113 @@ import (
 )
 
 var (
-	parallel  = flag.Int("parallel", 0, "replay workers for fig7c/fig9/lookup (0 = all cores)")
-	lookupOut = flag.String("lookup-out", "", "write lookup benchmark rows as JSON to this file")
-	roundOut  = flag.String("round-out", "", "write control-round benchmark rows as JSON to this file")
-	tenantOut = flag.String("tenant-out", "", "write multi-tenant sharing benchmark result as JSON to this file")
-	dataOut   = flag.String("dataplane-out", "", "write data-plane throughput benchmark rows as JSON to this file")
-	recovOut  = flag.String("recovery-out", "", "write corruption-recovery benchmark rows as JSON to this file")
-	tieredOut = flag.String("tiered-out", "", "write tiered-store budget sweep rows as JSON to this file")
-	fabricOut = flag.String("fabric-out", "", "write sharded-fabric benchmark result as JSON to this file")
-	serveOut  = flag.String("serve-out", "", "write service-mode soak benchmark result as JSON to this file")
-	cacheOut  = flag.String("cache-out", "", "write lookup-cache benchmark result as JSON to this file")
-	zipfS     = flag.Float64("zipf", -1, "override the operand-stream Zipf exponent for dataplane and serve (0 = uniform; <0 = experiment default)")
+	outDir   = flag.String("out", "", "write each named benchmark's result to `DIR`/BENCH_<name>.json")
+	parallel = flag.Int("parallel", 0, "replay workers for fig7c/fig9/lookup (0 = all cores)")
+	zipfS    = flag.Float64("zipf", -1, "override the operand-stream Zipf exponent for dataplane and serve (0 = uniform; <0 = experiment default)")
 )
 
-// validateFlags rejects flag values that parse but make no sense; main
-// treats a non-nil return as a usage error (exit 2).
-func validateFlags(parallel int) error {
-	if parallel < 0 {
-		return fmt.Errorf("-parallel must be >= 0, got %d", parallel)
+// A runner produces one experiment's text table and, for the benchmarks,
+// the typed result -out writes; figure runners return a nil artefact.
+type runner func() (text string, artefact any, err error)
+
+// figure adapts a paper figure's Run/Render pair to a runner result.
+func figure[T any](render func(T) string) func(T, error) (string, any, error) {
+	return func(v T, err error) (string, any, error) {
+		if err != nil {
+			return "", nil, err
+		}
+		return render(v), nil, nil
 	}
-	return nil
 }
 
-var runners = map[string]func() (string, error){
-	"fig1a": func() (string, error) {
-		rows, err := experiments.RunFig1a(experiments.DefaultFig1aConfig())
+// bench is figure for a benchmark: its typed result is also the artefact.
+func bench[T any](render func(T) string) func(T, error) (string, any, error) {
+	return func(v T, err error) (string, any, error) {
 		if err != nil {
-			return "", err
+			return "", nil, err
 		}
-		return experiments.RenderFig1a(rows), nil
+		return render(v), v, nil
+	}
+}
+
+var runners = map[string]runner{
+	"fig1a": func() (string, any, error) {
+		return figure(experiments.RenderFig1a)(experiments.RunFig1a(experiments.DefaultFig1aConfig()))
 	},
-	"fig1b": func() (string, error) {
-		res, err := experiments.RunFig1b(experiments.DefaultFig1bConfig())
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderFig1b(res), nil
+	"fig1b": func() (string, any, error) {
+		return figure(experiments.RenderFig1b)(experiments.RunFig1b(experiments.DefaultFig1bConfig()))
 	},
-	"fig1c": func() (string, error) {
-		return experiments.RenderFig1c(experiments.RunFig1c(experiments.DefaultFig1cConfig())), nil
+	"fig1c": func() (string, any, error) {
+		return experiments.RenderFig1c(experiments.RunFig1c(experiments.DefaultFig1cConfig())), nil, nil
 	},
-	"fig5": func() (string, error) {
-		rows, err := experiments.RunFig5(experiments.DefaultFig5Config())
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderFig5(rows), nil
+	"fig5": func() (string, any, error) {
+		return figure(experiments.RenderFig5)(experiments.RunFig5(experiments.DefaultFig5Config()))
 	},
-	"fig6": func() (string, error) {
-		rows, err := experiments.RunFig6(experiments.DefaultFig6Config())
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderFig6(rows), nil
+	"fig6": func() (string, any, error) {
+		return figure(experiments.RenderFig6)(experiments.RunFig6(experiments.DefaultFig6Config()))
 	},
-	"fig7a": func() (string, error) {
-		rows, err := experiments.RunFig7a(experiments.DefaultFig7aConfig())
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderFig7a(rows), nil
+	"fig7a": func() (string, any, error) {
+		return figure(experiments.RenderFig7a)(experiments.RunFig7a(experiments.DefaultFig7aConfig()))
 	},
-	"fig7b": func() (string, error) {
-		return experiments.RenderFig7b(experiments.RunFig7b([]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})), nil
+	"fig7b": func() (string, any, error) {
+		return experiments.RenderFig7b(experiments.RunFig7b([]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})), nil, nil
 	},
-	"fig7c": func() (string, error) {
+	"fig7c": func() (string, any, error) {
 		cfg := experiments.DefaultFig7cConfig()
 		cfg.Workers = *parallel
-		rows, err := experiments.RunFig7c(cfg)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderFig7c(rows), nil
+		return figure(experiments.RenderFig7c)(experiments.RunFig7c(cfg))
 	},
-	"fig8": func() (string, error) {
-		rows, err := experiments.RunFig8(experiments.DefaultFig8Config())
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderFig8(rows), nil
+	"fig8": func() (string, any, error) {
+		return figure(experiments.RenderFig8)(experiments.RunFig8(experiments.DefaultFig8Config()))
 	},
-	"fig9": func() (string, error) {
+	"fig9": func() (string, any, error) {
 		cfg := experiments.DefaultFig9Config()
 		cfg.Workers = *parallel
-		rows, err := experiments.RunFig9(cfg)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderFig9(rows), nil
+		return figure(experiments.RenderFig9)(experiments.RunFig9(cfg))
 	},
-	"fig10": func() (string, error) {
-		rows, err := experiments.RunFig10(experiments.DefaultFig10Config())
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderFig10(rows), nil
+	"fig10": func() (string, any, error) {
+		return figure(experiments.RenderFig10)(experiments.RunFig10(experiments.DefaultFig10Config()))
 	},
-	"xcp": func() (string, error) {
-		rows, err := experiments.RunExtXCP(experiments.DefaultExtXCPConfig())
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderExtXCP(rows), nil
+	"xcp": func() (string, any, error) {
+		return figure(experiments.RenderExtXCP)(experiments.RunExtXCP(experiments.DefaultExtXCPConfig()))
 	},
-	"lookup": func() (string, error) {
+	"table2": func() (string, any, error) {
+		return figure(experiments.RenderTable2)(experiments.RunTable2(experiments.DefaultTable2Config()))
+	},
+	"lookup": func() (string, any, error) {
 		cfg := experiments.DefaultLookupBenchConfig()
 		if *parallel > 0 {
 			cfg.Workers = []int{1, *parallel}
 		}
-		rows, err := experiments.RunLookupBench(cfg)
-		if err != nil {
-			return "", err
-		}
-		if *lookupOut != "" {
-			if err := experiments.WriteLookupBenchJSON(*lookupOut, rows); err != nil {
-				return "", err
-			}
-		}
-		return experiments.RenderLookupBench(rows), nil
+		return bench(experiments.RenderLookupBench)(experiments.RunLookupBench(cfg))
 	},
-	"recovery": func() (string, error) {
-		rows, err := experiments.RunRecoveryBench(experiments.DefaultRecoveryBenchConfig())
-		if err != nil {
-			return "", err
-		}
-		if *recovOut != "" {
-			if err := experiments.WriteRecoveryBenchJSON(*recovOut, rows); err != nil {
-				return "", err
-			}
-		}
-		return experiments.RenderRecoveryBench(rows), nil
+	"recovery": func() (string, any, error) {
+		return bench(experiments.RenderRecoveryBench)(experiments.RunRecoveryBench(experiments.DefaultRecoveryBenchConfig()))
 	},
-	"roundbench": func() (string, error) {
-		rows, err := experiments.RunRoundBench(experiments.DefaultRoundBenchConfig())
-		if err != nil {
-			return "", err
-		}
-		if *roundOut != "" {
-			if err := experiments.WriteRoundBenchJSON(*roundOut, rows); err != nil {
-				return "", err
-			}
-		}
-		return experiments.RenderRoundBench(rows), nil
+	"round": func() (string, any, error) {
+		return bench(experiments.RenderRoundBench)(experiments.RunRoundBench(experiments.DefaultRoundBenchConfig()))
 	},
-	"tiered": func() (string, error) {
-		rows, err := experiments.RunTieredBench(experiments.DefaultTieredBenchConfig())
-		if err != nil {
-			return "", err
-		}
-		if *tieredOut != "" {
-			if err := experiments.WriteTieredBenchJSON(*tieredOut, rows); err != nil {
-				return "", err
-			}
-		}
-		return experiments.RenderTieredBench(rows), nil
+	"tiered": func() (string, any, error) {
+		return bench(experiments.RenderTieredBench)(experiments.RunTieredBench(experiments.DefaultTieredBenchConfig()))
 	},
-	"fabric": func() (string, error) {
+	"fabric": func() (string, any, error) {
 		cfg := experiments.DefaultFabricBenchConfig()
 		if *parallel > 0 {
 			cfg.Workers = *parallel
 		}
-		res, err := experiments.RunFabricBench(cfg)
-		if err != nil {
-			return "", err
-		}
-		if *fabricOut != "" {
-			if err := experiments.WriteFabricBenchJSON(*fabricOut, res); err != nil {
-				return "", err
-			}
-		}
-		return experiments.RenderFabricBench(res), nil
+		return bench(experiments.RenderFabricBench)(experiments.RunFabricBench(cfg))
 	},
-	"serve": func() (string, error) {
+	"serve": func() (string, any, error) {
 		cfg := experiments.DefaultServeBenchConfig()
 		if *zipfS >= 0 {
 			cfg.ZipfS = *zipfS
 		}
-		res, err := experiments.RunServeBench(cfg)
-		if err != nil {
-			return "", err
-		}
-		if *serveOut != "" {
-			if err := experiments.WriteServeBenchJSON(*serveOut, res); err != nil {
-				return "", err
-			}
-		}
-		return experiments.RenderServeBench(res), nil
+		return bench(experiments.RenderServeBench)(experiments.RunServeBench(cfg))
 	},
-	"tenant": func() (string, error) {
-		res, err := experiments.RunTenantBench(experiments.DefaultTenantBenchConfig())
-		if err != nil {
-			return "", err
-		}
-		if *tenantOut != "" {
-			if err := experiments.WriteTenantBenchJSON(*tenantOut, res); err != nil {
-				return "", err
-			}
-		}
-		return experiments.RenderTenantBench(res), nil
+	"tenant": func() (string, any, error) {
+		return bench(experiments.RenderTenantBench)(experiments.RunTenantBench(experiments.DefaultTenantBenchConfig()))
 	},
-	"dataplane": func() (string, error) {
+	"dataplane": func() (string, any, error) {
 		cfg := experiments.DefaultDataplaneBenchConfig()
 		if *parallel > 0 {
 			cfg.Workers = []int{1, *parallel}
@@ -273,35 +184,10 @@ var runners = map[string]func() (string, error){
 		if *zipfS >= 0 {
 			cfg.ZipfS = *zipfS
 		}
-		rows, err := experiments.RunDataplaneBench(cfg)
-		if err != nil {
-			return "", err
-		}
-		if *dataOut != "" {
-			if err := experiments.WriteDataplaneBenchJSON(*dataOut, rows); err != nil {
-				return "", err
-			}
-		}
-		return experiments.RenderDataplaneBench(rows), nil
+		return bench(experiments.RenderDataplaneBench)(experiments.RunDataplaneBench(cfg))
 	},
-	"cache": func() (string, error) {
-		res, err := experiments.RunCacheBench(experiments.DefaultCacheBenchConfig())
-		if err != nil {
-			return "", err
-		}
-		if *cacheOut != "" {
-			if err := experiments.WriteCacheBenchJSON(*cacheOut, res); err != nil {
-				return "", err
-			}
-		}
-		return experiments.RenderCacheBench(res), nil
-	},
-	"table2": func() (string, error) {
-		rows, err := experiments.RunTable2(experiments.DefaultTable2Config())
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderTable2(rows), nil
+	"cache": func() (string, any, error) {
+		return bench(experiments.RenderCacheBench)(experiments.RunCacheBench(experiments.DefaultCacheBenchConfig()))
 	},
 }
 
@@ -314,39 +200,126 @@ func order() []string {
 	return names
 }
 
+// usageError marks input adabench rejects before running anything; main
+// exits 2 on it and 1 on any other error.
+type usageError struct{ error }
+
+// validateFlags rejects flag values that parse but make no sense: a
+// negative worker count, or an -out path that is not an existing
+// directory.
+func validateFlags(parallel int, out string) error {
+	if parallel < 0 {
+		return fmt.Errorf("-parallel must be >= 0, got %d", parallel)
+	}
+	if out == "" {
+		return nil
+	}
+	fi, err := os.Stat(out)
+	if err != nil {
+		return fmt.Errorf("-out: %w", err)
+	}
+	if !fi.IsDir() {
+		return fmt.Errorf("-out: %s is not a directory", out)
+	}
+	return nil
+}
+
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: adabench [experiment...]\nexperiments: %v all\n", order())
+		fmt.Fprintf(os.Stderr, "usage: adabench [-out DIR] [-parallel N] [-zipf S] [experiment...]\nexperiments: %v all\n", order())
+		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if err := validateFlags(*parallel); err != nil {
+	if err := run(flag.Args(), *outDir); err != nil {
 		fmt.Fprintln(os.Stderr, "adabench:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	names := flag.Args()
-	if len(names) == 0 || (len(names) == 1 && names[0] == "all") {
-		names = order()
-	}
-	if err := run(names); err != nil {
-		fmt.Fprintln(os.Stderr, "adabench:", err)
+		if errors.As(err, new(usageError)) {
+			flag.Usage()
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
-func run(names []string) error {
+// run checks every experiment name and the flags, then runs the named
+// experiments in order ("all" or none: every one), printing each table
+// and, when out is set, writing each non-nil artefact to
+// out/BENCH_<name>.json.
+func run(names []string, out string) error {
+	if len(names) == 0 || (len(names) == 1 && names[0] == "all") {
+		names = order()
+	}
 	for _, name := range names {
-		r, ok := runners[name]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (want one of %v)", name, order())
+		if _, ok := runners[name]; !ok {
+			return usageError{fmt.Errorf("unknown experiment %q (want one of %v)", name, order())}
 		}
+	}
+	if err := validateFlags(*parallel, out); err != nil {
+		return usageError{err}
+	}
+	for _, name := range names {
 		start := time.Now()
-		out, err := r()
+		text, artefact, err := runners[name]()
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Println(out)
+		fmt.Println(text)
+		if out != "" && artefact != nil {
+			if err := writeArtefact(filepath.Join(out, "BENCH_"+name+".json"), artefact); err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+		}
 		fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
+}
+
+// benchEnv is the host block of every artefact, so a committed baseline
+// says what machine and which build produced it.
+type benchEnv struct {
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	// Revision and Modified are the build's vcs.revision and vcs.modified
+	// stamps, or "unknown" when absent.
+	Revision string `json:"revision"`
+	Modified string `json:"modified"`
+}
+
+func hostEnv() benchEnv {
+	env := benchEnv{
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Revision:   "unknown",
+		Modified:   "unknown",
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				env.Revision = s.Value
+			case "vcs.modified":
+				env.Modified = s.Value
+			}
+		}
+	}
+	return env
+}
+
+// writeArtefact writes result inside the {"env", "result"} envelope as
+// indented JSON with a trailing newline — the one serialisation every
+// committed BENCH_*.json shares.
+func writeArtefact(path string, result any) error {
+	data, err := json.MarshalIndent(struct {
+		Env    benchEnv `json:"env"`
+		Result any      `json:"result"`
+	}{hostEnv(), result}, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -28,7 +28,10 @@
 //   - internal/apps: Nimble, RCP arithmetic, heavy-hitter applications
 //   - internal/experiments: one generator per paper table/figure
 //
-// bench_test.go in this directory exposes one benchmark per experiment;
-// cmd/adabench prints the same series as text tables. See DESIGN.md for the
-// system inventory and EXPERIMENTS.md for paper-vs-measured results.
+// cmd/adabench runs every experiment, prints its series as a text table and,
+// with -out, writes the nine benchmarks' BENCH_*.json files;
+// internal/experiments' tests assert on each figure, and
+// ablation_bench_test.go in this directory quantifies the design choices.
+// See DESIGN.md for the system inventory and EXPERIMENTS.md for
+// paper-vs-measured results.
 package ada

@@ -118,7 +118,7 @@ type CacheDiffResult struct {
 	Invalidations   uint64 `json:"invalidations"`
 }
 
-// CacheBenchResult is the committed BENCH_cache.json artefact.
+// CacheBenchResult is the benchmark artefact (the result in BENCH_cache.json).
 type CacheBenchResult struct {
 	Width       int          `json:"width"`
 	CalcEntries int          `json:"calc_entries"`
@@ -509,10 +509,4 @@ func RenderCacheBench(res CacheBenchResult) string {
 	out += fmt.Sprintf("differential: %d rounds, %d samples compared bit-identical, %d degraded, %d audits, restart=%v, %d invalidations\n",
 		d.Rounds, d.SamplesCompared, d.DegradedRounds, d.Audits, d.Restarted, d.Invalidations)
 	return out
-}
-
-// WriteCacheBenchJSON writes the result as the committed BENCH_cache.json
-// artefact.
-func WriteCacheBenchJSON(path string, res CacheBenchResult) error {
-	return WriteBenchJSON(path, res)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -56,8 +57,8 @@ func DefaultDataplaneBenchConfig() DataplaneBenchConfig {
 	}
 }
 
-// DataplanePoint is one worker count's throughput and allocation cost for
-// both paths.
+// DataplanePoint is one worker count's throughput (median across trials)
+// and allocation cost (worst trial) for both paths.
 type DataplanePoint struct {
 	// Workers is the replay goroutine count.
 	Workers int `json:"workers"`
@@ -88,8 +89,11 @@ type DataplaneBenchRow struct {
 	BestSpeedup float64 `json:"best_speedup"`
 	// ScalingImprovement is the typed path's best throughput at any worker
 	// count over the pre-change baseline at one worker — the end-to-end
-	// single-thread→multi-worker gain the refactor delivers.
+	// single-thread→multi-worker gain the refactor delivers — as the median
+	// of the per-trial ratios; ScalingMin and ScalingMax are their spread.
 	ScalingImprovement float64 `json:"scaling_improvement"`
+	ScalingMin         float64 `json:"scaling_min"`
+	ScalingMax         float64 `json:"scaling_max"`
 }
 
 // baselineUnary replicates the pre-change unary observe+eval pipeline
@@ -307,23 +311,56 @@ func verifyBinary(sys *core.BinarySystem, base *baselineBinary, xs, ys []uint64,
 	return nil
 }
 
-func finishRow(row *DataplaneBenchRow) {
-	for _, p := range row.Points {
-		if p.Speedup > row.BestSpeedup {
-			row.BestSpeedup = p.Speedup
+// dataplaneTrials is the number of interleaved trials per worker sweep;
+// the scaling gate reads the median per-trial ratio. Race-instrumented test
+// binaries, which skip the gate, set it to 1.
+var dataplaneTrials = 5
+
+// sweepWorkers fills row.Points and the row's headline ratios from
+// dataplaneTrials interleaved trials. One trial times the baseline, then
+// the typed path, at each worker count in turn, so the 1-worker baseline
+// and every typed point of a trial share its warm state and any drift
+// between trials lands on both sides of the trial's scaling ratio (best
+// typed throughput over the 1-worker baseline). Points report the median
+// throughput per path and the worst allocation count across trials.
+func sweepWorkers(row *DataplaneBenchRow, workers []int, batches int, baseline, typed func(w int) func()) {
+	n := len(workers)
+	baseRuns, typedRuns := make([]func(), n), make([]func(), n)
+	baseSec, typedSec := make([][]float64, n), make([][]float64, n)
+	for j, w := range workers {
+		baseRuns[j], typedRuns[j] = baseline(w), typed(w)
+	}
+	row.Points = make([]DataplanePoint, n)
+	var ratios []float64
+	for range dataplaneTrials {
+		var base1, bestTyped float64
+		for j, w := range workers {
+			p := &row.Points[j]
+			bs, ba := measure(row.Samples, batches, baseRuns[j])
+			ts, ta := measure(row.Samples, batches, typedRuns[j])
+			baseSec[j] = append(baseSec[j], bs)
+			typedSec[j] = append(typedSec[j], ts)
+			p.BaselineAllocsBatch = max(p.BaselineAllocsBatch, ba)
+			p.TypedAllocsBatch = max(p.TypedAllocsBatch, ta)
+			if w == 1 {
+				base1 = bs
+			}
+			bestTyped = max(bestTyped, ts)
+		}
+		if base1 > 0 {
+			ratios = append(ratios, bestTyped/base1)
 		}
 	}
-	var base1, bestTyped float64
-	for _, p := range row.Points {
-		if p.Workers == 1 {
-			base1 = p.BaselineSamplesSec
-		}
-		if p.TypedSamplesSec > bestTyped {
-			bestTyped = p.TypedSamplesSec
-		}
+	for j, w := range workers {
+		p := &row.Points[j]
+		p.Workers = w
+		p.BaselineSamplesSec, p.TypedSamplesSec = median(baseSec[j]), median(typedSec[j])
+		p.Speedup = p.TypedSamplesSec / p.BaselineSamplesSec
+		row.BestSpeedup = max(row.BestSpeedup, p.Speedup)
 	}
-	if base1 > 0 {
-		row.ScalingImprovement = bestTyped / base1
+	if len(ratios) > 0 {
+		row.ScalingMin, row.ScalingMax = slices.Min(ratios), slices.Max(ratios)
+		row.ScalingImprovement = median(ratios)
 	}
 }
 
@@ -358,29 +395,23 @@ func RunDataplaneBench(cfg DataplaneBenchConfig) ([]DataplaneBenchRow, error) {
 		return nil, err
 	}
 	uniRow := DataplaneBenchRow{Path: "unary", Samples: cfg.Samples, Batch: cfg.Batch, ZipfS: cfg.ZipfS}
-	for _, w := range cfg.Workers {
-		baseSec, baseAllocs := measure(cfg.Samples, batches, func() {
-			netsim.ReplayBatched(w, cfg.Batch, xs, func(_ int, batch []uint64) {
-				uniBase.observeEval(batch)
-			})
+	sweepWorkers(&uniRow, cfg.Workers, batches,
+		func(w int) func() {
+			return func() {
+				netsim.ReplayBatched(w, cfg.Batch, xs, func(_ int, batch []uint64) {
+					uniBase.observeEval(batch)
+				})
+			}
+		},
+		func(w int) func() {
+			scs := make([]arith.Scratch, w)
+			dsts := make([][]uint64, w)
+			return func() {
+				netsim.ReplayBatched(w, cfg.Batch, xs, func(worker int, batch []uint64) {
+					dsts[worker], _ = uni.ObserveEvalAll(dsts[worker], batch, &scs[worker])
+				})
+			}
 		})
-		scs := make([]arith.Scratch, w)
-		dsts := make([][]uint64, w)
-		typedSec, typedAllocs := measure(cfg.Samples, batches, func() {
-			netsim.ReplayBatched(w, cfg.Batch, xs, func(worker int, batch []uint64) {
-				dsts[worker], _ = uni.ObserveEvalAll(dsts[worker], batch, &scs[worker])
-			})
-		})
-		uniRow.Points = append(uniRow.Points, DataplanePoint{
-			Workers:             w,
-			BaselineSamplesSec:  baseSec,
-			TypedSamplesSec:     typedSec,
-			BaselineAllocsBatch: baseAllocs,
-			TypedAllocsBatch:    typedAllocs,
-			Speedup:             typedSec / baseSec,
-		})
-	}
-	finishRow(&uniRow)
 
 	// Binary pipeline.
 	bin, err := core.NewBinary(core.DefaultConfig(cfg.Width), arith.OpMul)
@@ -402,48 +433,30 @@ func RunDataplaneBench(cfg DataplaneBenchConfig) ([]DataplaneBenchRow, error) {
 		return nil, err
 	}
 	binRow := DataplaneBenchRow{Path: "binary", Samples: cfg.Samples, Batch: cfg.Batch, ZipfS: cfg.ZipfS}
-	for _, w := range cfg.Workers {
-		baseSec, baseAllocs := measure(cfg.Samples, batches, func() {
-			netsim.Replay(w, cfg.Samples, func(lo, hi int) {
-				for l := lo; l < hi; l += cfg.Batch {
-					h := l + cfg.Batch
-					if h > hi {
-						h = hi
+	sweepWorkers(&binRow, cfg.Workers, batches,
+		func(w int) func() {
+			return func() {
+				netsim.Replay(w, cfg.Samples, func(lo, hi int) {
+					for l := lo; l < hi; l += cfg.Batch {
+						h := min(l+cfg.Batch, hi)
+						binBase.observeEval(xs[l:h], ys[l:h])
 					}
-					binBase.observeEval(xs[l:h], ys[l:h])
-				}
-			})
-		})
-		typedSec, typedAllocs := measure(cfg.Samples, batches, func() {
-			netsim.Replay(w, cfg.Samples, func(lo, hi int) {
-				var sc arith.Scratch // one scratch per shard, reused across its batches
-				var dst []uint64
-				for l := lo; l < hi; l += cfg.Batch {
-					h := l + cfg.Batch
-					if h > hi {
-						h = hi
+				})
+			}
+		},
+		func(w int) func() {
+			return func() {
+				netsim.Replay(w, cfg.Samples, func(lo, hi int) {
+					var sc arith.Scratch // one scratch per shard, reused across its batches
+					var dst []uint64
+					for l := lo; l < hi; l += cfg.Batch {
+						h := min(l+cfg.Batch, hi)
+						dst, _ = bin.ObserveEvalAll(dst, xs[l:h], ys[l:h], &sc)
 					}
-					dst, _ = bin.ObserveEvalAll(dst, xs[l:h], ys[l:h], &sc)
-				}
-			})
+				})
+			}
 		})
-		binRow.Points = append(binRow.Points, DataplanePoint{
-			Workers:             w,
-			BaselineSamplesSec:  baseSec,
-			TypedSamplesSec:     typedSec,
-			BaselineAllocsBatch: baseAllocs,
-			TypedAllocsBatch:    typedAllocs,
-			Speedup:             typedSec / baseSec,
-		})
-	}
-	finishRow(&binRow)
 	return []DataplaneBenchRow{uniRow, binRow}, nil
-}
-
-// WriteDataplaneBenchJSON writes the rows as the committed
-// BENCH_dataplane.json artefact.
-func WriteDataplaneBenchJSON(path string, rows []DataplaneBenchRow) error {
-	return WriteBenchJSON(path, rows)
 }
 
 // RenderDataplaneBench formats the rows.
@@ -459,5 +472,10 @@ func RenderDataplaneBench(rows []DataplaneBenchRow) string {
 				fmt.Sprintf("%.1f→%.1f", p.BaselineAllocsBatch, p.TypedAllocsBatch))
 		}
 	}
-	return t.String()
+	out := t.String()
+	for _, r := range rows {
+		out += fmt.Sprintf("%s scaling over the 1-worker baseline: %.2fx (trials %.2f–%.2fx, median of %d)\n",
+			r.Path, r.ScalingImprovement, r.ScalingMin, r.ScalingMax, dataplaneTrials)
+	}
+	return out
 }

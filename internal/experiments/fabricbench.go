@@ -103,7 +103,8 @@ type FabricLatency struct {
 	DegradedTenants  int     `json:"degraded_tenant_rounds"`
 }
 
-// FabricBenchResult is the benchmark artefact (BENCH_fabric.json).
+// FabricBenchResult is the benchmark artefact (the result in
+// BENCH_fabric.json).
 type FabricBenchResult struct {
 	Switches       int `json:"switches"`
 	SwitchEntries  int `json:"switch_entries"`
@@ -445,12 +446,6 @@ func RunFabricBench(cfg FabricBenchConfig) (*FabricBenchResult, error) {
 	res.Throughput, res.ModelScaling, res.MeasuredLookupsPerSec =
 		fabricThroughput(cfg, fElastic, fabricWorkloads(cfg.Tenants))
 	return res, nil
-}
-
-// WriteFabricBenchJSON writes the result as the committed BENCH_fabric.json
-// artefact.
-func WriteFabricBenchJSON(path string, res *FabricBenchResult) error {
-	return WriteBenchJSON(path, res)
 }
 
 // RenderFabricBench formats the result.

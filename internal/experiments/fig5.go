@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§V). Each figure has a config struct with paper-faithful
 // defaults scaled to run in seconds, a typed result, and a Render method
-// producing the text table cmd/adabench prints. bench_test.go at the repo
-// root exposes one benchmark per experiment.
+// producing the text table cmd/adabench prints; experiments_test.go asserts
+// the paper's shape on each. The benchmarks (the *bench.go files) return
+// typed results that cmd/adabench -out writes as the committed
+// BENCH_*.json files; the experiments package itself writes no files.
 package experiments
 
 import (

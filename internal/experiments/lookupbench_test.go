@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestRunLookupBenchSmall(t *testing.T) {
 	cfg := LookupBenchConfig{
@@ -32,22 +27,6 @@ func TestRunLookupBenchSmall(t *testing.T) {
 	}
 	if RenderLookupBench(rows) == "" {
 		t.Error("empty render")
-	}
-
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := WriteLookupBenchJSON(path, rows); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []LookupBenchRow
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("round-trip: %v", err)
-	}
-	if len(back) != len(rows) {
-		t.Errorf("round-trip rows = %d, want %d", len(back), len(rows))
 	}
 }
 

@@ -50,7 +50,8 @@ func TestRoundBenchAcceptance(t *testing.T) {
 }
 
 // BenchmarkRoundIncremental and BenchmarkRoundFull expose the converged
-// control round to `go test -bench` (the make bench-round target).
+// control round to `go test -bench` (`make bench-compare` and the CI smoke
+// step run them).
 func benchmarkRound(b *testing.B, incremental bool) {
 	cfg := DefaultRoundBenchConfig()
 	cfg.CalcBudget = 256

@@ -536,9 +536,3 @@ func RenderServeBench(res ServeBenchResult) string {
 	}
 	return out
 }
-
-// WriteServeBenchJSON writes the result as the committed BENCH_serve.json
-// baseline.
-func WriteServeBenchJSON(path string, res ServeBenchResult) error {
-	return WriteBenchJSON(path, res)
-}

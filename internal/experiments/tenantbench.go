@@ -69,7 +69,8 @@ type TenantBenchRow struct {
 	ElasticErr    float64 `json:"elastic_avg_rel_error"`
 }
 
-// TenantBenchResult is the benchmark artefact (BENCH_tenant.json): the
+// TenantBenchResult is the benchmark artefact (the result in
+// BENCH_tenant.json): the
 // per-tenant rows plus the aggregate the acceptance criterion reads — the
 // mean of per-tenant average errors at the same total budget.
 type TenantBenchResult struct {
@@ -300,12 +301,6 @@ func RunTenantBench(cfg TenantBenchConfig) (*TenantBenchResult, error) {
 		res.Improvement = res.StaticAggregate / res.ElasticAggregate
 	}
 	return res, nil
-}
-
-// WriteTenantBenchJSON writes the result as an indented JSON baseline (the
-// committed BENCH_tenant.json artefact).
-func WriteTenantBenchJSON(path string, res *TenantBenchResult) error {
-	return WriteBenchJSON(path, res)
 }
 
 // RenderTenantBench formats the result.
