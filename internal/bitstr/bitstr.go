@@ -14,7 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -380,7 +380,7 @@ func CoverRange(lo, hi uint64, width int) ([]Prefix, error) {
 // SortPrefixes orders prefixes by Compare (ascending low bound, deeper
 // first on ties), in place.
 func SortPrefixes(ps []Prefix) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Compare(ps[j]) < 0 })
+	slices.SortFunc(ps, Prefix.Compare)
 }
 
 // Partition reports whether the given prefixes exactly tile the interval

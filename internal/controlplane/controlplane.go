@@ -724,9 +724,8 @@ func (c *Controller) roundWithSnapshot(rep RoundReport, rt *roundTracker, snap [
 		return rep, ErrCrashed
 	}
 
-	// 7. Commit the shadow trie: from here the round has happened. The
-	// trie's dirty tracking restarts here, so the next round's delta covers
-	// exactly the mutations after this committed state.
+	// 7. Commit the shadow trie: from here the round has happened, and the
+	// trie's committed sequence records the state the table now serves.
 	c.tr = work
 	work.CommitGeneration()
 	if expanded {

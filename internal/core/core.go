@@ -240,7 +240,7 @@ type SyncReport struct {
 
 // unaryTarget adapts the calculation engine to the controller. It carries
 // the Algorithm 3 memo and a shadow record of the installed population
-// (prefix → result at a trie change-sequence), which together make
+// (prefix → result, and the memo build it came from), which together make
 // PopulateDelta's work proportional to churn instead of budget.
 type unaryTarget struct {
 	engine *arith.UnaryEngine
@@ -249,13 +249,14 @@ type unaryTarget struct {
 
 	memo population.UnaryMemo
 	// installed mirrors what the calculation table holds: the Results map of
-	// the population build that was last committed, and the trie ChangeSeq it
-	// was built at. lastVersion pins the table version that build produced —
-	// any other writer (or a rollback) bumps it and forces a full reload.
-	installed     map[bitstr.Prefix]uint64
-	installedSeq  uint64
-	haveInstalled bool
-	lastVersion   uint64
+	// the population build that was last committed, and that build's memo
+	// number (0 after a full Populate, which no memo build matches).
+	// lastVersion pins the table version that build produced — any other
+	// writer (or a rollback) bumps it and forces a full reload.
+	installed      map[bitstr.Prefix]uint64
+	installedBuild uint64
+	haveInstalled  bool
+	lastVersion    uint64
 }
 
 func (t *unaryTarget) Populate(tr *trie.Trie, budget int) (int, int, error) {
@@ -274,7 +275,7 @@ func (t *unaryTarget) Populate(tr *trie.Trie, budget int) (int, int, error) {
 		m[e.P] = e.Result
 	}
 	t.installed = m
-	t.installedSeq = tr.ChangeSeq()
+	t.installedBuild = 0
 	t.haveInstalled = true
 	t.lastVersion = t.engine.Store().Version()
 	return writes, len(entries), nil
@@ -297,9 +298,11 @@ func (t *unaryTarget) PopulateDelta(tr *trie.Trie, budget int) (int, int, int, e
 		t.record(res)
 		return writes, res.Computed, res.Reused, nil
 	}
-	if t.installedSeq == res.Seq {
-		// Converged round: the installed population was built at this exact
-		// trie state, so there is nothing to write.
+	if t.installedBuild == res.Build {
+		// Converged round: the memo returned the installed build (the trie
+		// did not change, or changed without moving the allocation), so
+		// there is nothing to diff and nothing to write.
+		t.record(res)
 		return 0, res.Computed, res.Reused, nil
 	}
 	var add []population.UnaryEntry
@@ -315,6 +318,12 @@ func (t *unaryTarget) PopulateDelta(tr *trie.Trie, budget int) (int, int, int, e
 		}
 	}
 	bitstr.SortPrefixes(stale) // deterministic row order across runs
+	if len(add) == 0 && len(stale) == 0 {
+		// Nothing to write: committing an empty delta would still advance
+		// the table's generation and flush every lookup cache.
+		t.record(res)
+		return 0, res.Computed, res.Reused, nil
+	}
 	remove := make([]population.UnaryEntry, len(stale))
 	for i, p := range stale {
 		remove[i] = population.UnaryEntry{P: p}
@@ -339,7 +348,7 @@ func (t *unaryTarget) PopulateDelta(tr *trie.Trie, budget int) (int, int, int, e
 // recompute instead of mutating it in place.
 func (t *unaryTarget) record(res population.UnaryMemoResult) {
 	t.installed = res.Results
-	t.installedSeq = res.Seq
+	t.installedBuild = res.Build
 	t.haveInstalled = true
 	t.lastVersion = t.engine.Store().Version()
 }
@@ -636,15 +645,14 @@ type BinarySystem struct {
 
 	// Incremental-population state, mirroring unaryTarget's: the Algorithm 3
 	// memo plus a shadow record of the installed joint population and the
-	// (SeqX, SeqY) trie states it was built at. The joint populate runs after
-	// both variables' rounds commit, so the memo's wholesale-reuse path is
-	// what makes a converged Sync write nothing.
-	memo          population.BinaryMemo
-	installed     map[population.BinaryPair]uint64
-	installedSeqX uint64
-	installedSeqY uint64
-	haveInstalled bool
-	lastVersion   uint64
+	// memo build it came from. The joint populate runs after both
+	// variables' rounds commit, so the memo's reuse of the installed build
+	// is what makes a converged Sync write nothing.
+	memo           population.BinaryMemo
+	installed      map[population.BinaryPair]uint64
+	installedBuild uint64
+	haveInstalled  bool
+	lastVersion    uint64
 
 	// budget is the live calculation entry budget; starts at
 	// cfg.CalcEntries and moves under SetCalcBudget (tenant arbitration).
@@ -748,7 +756,8 @@ func (s *BinarySystem) populate() (int, int, int, error) {
 		s.record(res)
 		return writes, res.Computed, res.Reused, nil
 	}
-	if s.installedSeqX == res.SeqX && s.installedSeqY == res.SeqY {
+	if s.installedBuild == res.Build {
+		s.record(res)
 		return 0, res.Computed, res.Reused, nil
 	}
 	var add []population.BinaryEntry
@@ -769,6 +778,10 @@ func (s *BinarySystem) populate() (int, int, int, error) {
 		}
 		return stale[i].Y.Compare(stale[j].Y) < 0
 	})
+	if len(add) == 0 && len(stale) == 0 {
+		s.record(res)
+		return 0, res.Computed, res.Reused, nil
+	}
 	remove := make([]population.BinaryEntry, len(stale))
 	for i, pr := range stale {
 		remove[i] = population.BinaryEntry{X: pr.X, Y: pr.Y}
@@ -832,8 +845,7 @@ func (s *BinarySystem) AuditJoint(repair bool) (controlplane.AuditReport, error)
 // res.Results is safe because the memo rebuilds the map on every recompute.
 func (s *BinarySystem) record(res population.BinaryMemoResult) {
 	s.installed = res.Results
-	s.installedSeqX = res.SeqX
-	s.installedSeqY = res.SeqY
+	s.installedBuild = res.Build
 	s.haveInstalled = true
 	s.lastVersion = s.engine.Store().Version()
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/ada-repro/ada/internal/arith"
@@ -10,55 +11,66 @@ import (
 )
 
 // RoundBenchConfig parameterises the control-round microbenchmark: the
-// incremental round (dirty-subtree repopulation + memoized Algorithm 3 +
-// delta TCAM commit) against full repopulation, swept across churn levels.
+// incremental round (memoized Algorithm 3 + delta TCAM commit) against full
+// repopulation, swept across churn levels.
 type RoundBenchConfig struct {
-	// ChurnLevels are the fractions of monitoring bins whose hit counts
-	// change every round (0 = fully converged, 1 = every leaf dirty).
+	// ChurnLevels are the fractions of monitoring bins whose allocation
+	// moves every round (0 = fully converged, 1 = every bin moves).
 	ChurnLevels []float64
-	// Rounds is the timed rounds per (churn, mode) measurement.
+	// Rounds is the timed rounds per trial of each mode; each churn level
+	// runs roundBenchTrials interleaved trials per mode.
 	Rounds int
-	// Warmup is the untimed rounds run first so both systems reach the
-	// steady structure the churn schedule assumes.
+	// Warmup is the untimed converged rounds run first, so both systems
+	// start the churn from the same settled allocation.
 	Warmup int
 	// MonitorEntries is the monitoring bin count (held fixed: the feed keeps
-	// bins balanced so the structure never reshapes mid-measurement).
+	// bins balanced so the structure never reshapes).
 	MonitorEntries int
-	// CalcBudget is the calculation TCAM budget (the issue's acceptance
-	// point is 1024).
+	// CalcBudget is the calculation TCAM budget. At 1.5 entries per bin
+	// per level of refinement (e.g. 768 over 64 bins) the uniform feed
+	// refines half the bins one level finer than the rest, so which half
+	// wins is decided by the churned bins' hit counts.
 	CalcBudget int
 	// Width is the operand width in bits.
 	Width int
-	// BaseCount is the per-bin hit count fed each round; churned bins
-	// alternate BaseCount↔1.2·BaseCount so they dirty every round and shift
-	// their allocation share, while the imbalance (0.167) stays below the
-	// 0.20 rebalance threshold and the bin structure never reshapes.
+	// BaseCount is the per-bin hit count fed each round; a churned bin
+	// receives 1.2·BaseCount on alternate rounds. The imbalance (0.167)
+	// stays below the 0.20 rebalance threshold, so the bin structure never
+	// reshapes; only the allocation moves.
 	BaseCount int
 }
 
-// DefaultRoundBenchConfig returns the issue's acceptance sweep: churn 0%,
-// 5%, 50%, and 100% at a 1024-entry calculation budget.
+// roundBenchTrials is the number of interleaved full/incremental trials per
+// churn level; the speedup is the median of the per-trial ratios.
+const roundBenchTrials = 5
+
+// DefaultRoundBenchConfig returns the acceptance sweep: churn 0%, 5%, 50%,
+// and 100% at a 768-entry calculation budget over 64 bins.
 func DefaultRoundBenchConfig() RoundBenchConfig {
 	return RoundBenchConfig{
 		ChurnLevels:    []float64{0, 0.05, 0.5, 1},
 		Rounds:         30,
 		Warmup:         5,
 		MonitorEntries: 64,
-		CalcBudget:     1024,
+		CalcBudget:     768,
 		Width:          16,
 		BaseCount:      100,
 	}
 }
 
 // RoundBenchRow is one churn level's incremental-vs-full measurements.
-// *_ns are wall-clock nanoseconds per control round; writes/computed/reused
-// are per-round averages; delay_*_ns is the modelled CostModel delay.
+// *_ns are wall-clock nanoseconds per control round, the mean over every
+// timed round; speedup is the median per-trial full/incremental ratio and
+// speedup_min/max its range; writes/computed/reused are per-round averages;
+// delay_*_ns is the modelled CostModel delay.
 type RoundBenchRow struct {
 	Churn        float64 `json:"churn"`
 	Budget       int     `json:"budget"`
 	IncNs        float64 `json:"incremental_ns"`
 	FullNs       float64 `json:"full_ns"`
 	Speedup      float64 `json:"speedup"`
+	SpeedupMin   float64 `json:"speedup_min"`
+	SpeedupMax   float64 `json:"speedup_max"`
 	IncWrites    float64 `json:"incremental_tcam_writes"`
 	FullWrites   float64 `json:"full_tcam_writes"`
 	IncComputed  float64 `json:"incremental_computed"`
@@ -82,16 +94,19 @@ func roundBenchSystem(cfg RoundBenchConfig, incremental bool) (*core.UnarySystem
 }
 
 // roundBenchFeed builds one round's operand stream: every bin receives
-// BaseCount observations of its low representative value, and the first
-// nChurn bins receive 20% more on odd rounds — so exactly nChurn leaves
-// dirty every round, their allocation share moves, and the distribution
-// stays balanced enough that the structure never reshapes.
+// BaseCount observations of its low representative value, and each of the
+// last nChurn bins receives 20% more on alternate rounds, half of them on
+// odd rounds and half on even ones. Algorithm 3 refines the hotter bins
+// first, so every churned bin's allocation moves each round — from a coarse
+// level to the fine one or back — along with the cold bins the churned
+// ones displace from the fine half. At churn 1 the two halves swap
+// wholesale.
 func roundBenchFeed(sys *core.UnarySystem, base, nChurn, round int, buf []uint64) []uint64 {
 	prefixes := sys.Controller().Monitor().Prefixes()
 	buf = buf[:0]
 	for i, p := range prefixes {
 		n := base
-		if i < nChurn && round%2 == 1 {
+		if i >= len(prefixes)-nChurn && (i+round)%2 == 0 {
 			n += base / 5
 		}
 		for j := 0; j < n; j++ {
@@ -101,78 +116,112 @@ func roundBenchFeed(sys *core.UnarySystem, base, nChurn, round int, buf []uint64
 	return buf
 }
 
-// runRoundBenchMode measures one system across warmup+timed rounds and
-// returns per-round averages (wall ns, tcam writes, computed, reused,
-// modelled delay ns). The feed is built outside the timed region; only
-// Controller.Round — snapshot, Algorithm 2/3, table pushes — is timed.
-func runRoundBenchMode(sys *core.UnarySystem, cfg RoundBenchConfig, churn float64) (wall, writes, computed, reused, delay float64, err error) {
-	nChurn := int(churn*float64(cfg.MonitorEntries) + 0.5)
-	var buf []uint64
-	for round := 0; round < cfg.Warmup+cfg.Rounds; round++ {
-		buf = roundBenchFeed(sys, cfg.BaseCount, nChurn, round, buf)
-		sys.ObserveAll(buf)
+// roundBenchRun drives one system through the bench's rounds and sums the
+// timed rounds' measurements.
+type roundBenchRun struct {
+	sys   *core.UnarySystem
+	base  int
+	round int
+	buf   []uint64
+
+	rounds                                int
+	wall, writes, computed, reused, delay float64
+}
+
+// run feeds and runs n control rounds at nChurn churned bins. Only
+// Controller.Round — snapshot, Algorithm 2/3, table pushes — is timed; the
+// wall time of the n rounds is returned and, when timed, every measurement
+// is added to the run's sums.
+func (r *roundBenchRun) run(n, nChurn int, timed bool) (float64, error) {
+	var wall float64
+	for i := 0; i < n; i++ {
+		r.buf = roundBenchFeed(r.sys, r.base, nChurn, r.round, r.buf)
+		r.round++
+		r.sys.ObserveAll(r.buf)
 		start := time.Now()
-		rep, rerr := sys.Controller().Round()
+		rep, err := r.sys.Controller().Round()
 		elapsed := time.Since(start)
-		if rerr != nil {
-			return 0, 0, 0, 0, 0, rerr
+		if err != nil {
+			return 0, err
 		}
 		if rep.Degraded {
-			return 0, 0, 0, 0, 0, fmt.Errorf("roundbench: degraded round (%s) with no faults injected", rep.DegradedReason)
-		}
-		if round < cfg.Warmup {
-			continue
+			return 0, fmt.Errorf("roundbench: degraded round (%s) with no faults injected", rep.DegradedReason)
 		}
 		wall += float64(elapsed.Nanoseconds())
-		writes += float64(rep.TCAMWrites)
-		computed += float64(rep.Computed)
-		reused += float64(rep.Reused)
-		delay += float64(rep.Delay.Nanoseconds())
+		if timed {
+			r.rounds++
+			r.wall += float64(elapsed.Nanoseconds())
+			r.writes += float64(rep.TCAMWrites)
+			r.computed += float64(rep.Computed)
+			r.reused += float64(rep.Reused)
+			r.delay += float64(rep.Delay.Nanoseconds())
+		}
 	}
-	n := float64(cfg.Rounds)
-	return wall / n, writes / n, computed / n, reused / n, delay / n, nil
+	return wall, nil
 }
 
 // RunRoundBench measures incremental vs full control rounds at each churn
-// level. Both systems see identical feeds, and their calculation tables are
-// asserted bit-identical after each measurement — the benchmark doubles as
-// an end-to-end equivalence check.
+// level. Both systems see identical feeds: a converged warmup, then
+// roundBenchTrials interleaved trials of cfg.Rounds rounds each (full, then
+// incremental), so drift between trials lands on both sides of each
+// per-trial ratio. Their calculation tables are asserted bit-identical
+// after every trial — the benchmark doubles as an end-to-end equivalence
+// check — and the sweep asserts that the churn does what it says:
+// incremental writes and fresh evaluations grow with the churn level.
 func RunRoundBench(cfg RoundBenchConfig) ([]RoundBenchRow, error) {
 	rows := make([]RoundBenchRow, 0, len(cfg.ChurnLevels))
 	for _, churn := range cfg.ChurnLevels {
-		inc, err := roundBenchSystem(cfg, true)
-		if err != nil {
-			return nil, err
+		nChurn := int(churn*float64(cfg.MonitorEntries) + 0.5)
+		var runs [2]roundBenchRun // full, incremental
+		for i := range runs {
+			sys, err := roundBenchSystem(cfg, i == 1)
+			if err != nil {
+				return nil, err
+			}
+			runs[i] = roundBenchRun{sys: sys, base: cfg.BaseCount}
+			if _, err := runs[i].run(cfg.Warmup, 0, false); err != nil {
+				return nil, err
+			}
 		}
-		full, err := roundBenchSystem(cfg, false)
-		if err != nil {
-			return nil, err
+		ratios := make([]float64, roundBenchTrials)
+		for k := range ratios {
+			var ns [2]float64
+			for i := range runs {
+				var err error
+				if ns[i], err = runs[i].run(cfg.Rounds, nChurn, true); err != nil {
+					return nil, err
+				}
+			}
+			ratios[k] = ns[0] / ns[1]
+			if runs[1].sys.Engine().Table().Fingerprint() != runs[0].sys.Engine().Table().Fingerprint() {
+				return nil, fmt.Errorf("roundbench: incremental and full tables diverge at churn %.2f", churn)
+			}
 		}
-		iw, iwr, ic, ir, id, err := runRoundBenchMode(inc, cfg, churn)
-		if err != nil {
-			return nil, err
-		}
-		fw, fwr, fc, _, fd, err := runRoundBenchMode(full, cfg, churn)
-		if err != nil {
-			return nil, err
-		}
-		if inc.Engine().Table().Fingerprint() != full.Engine().Table().Fingerprint() {
-			return nil, fmt.Errorf("roundbench: incremental and full tables diverge at churn %.2f", churn)
-		}
+		full, inc := &runs[0], &runs[1]
+		n := float64(inc.rounds)
 		rows = append(rows, RoundBenchRow{
 			Churn:        churn,
 			Budget:       cfg.CalcBudget,
-			IncNs:        iw,
-			FullNs:       fw,
-			Speedup:      fw / iw,
-			IncWrites:    iwr,
-			FullWrites:   fwr,
-			IncComputed:  ic,
-			FullComputed: fc,
-			IncReused:    ir,
-			IncDelayNs:   id,
-			FullDelayNs:  fd,
+			IncNs:        inc.wall / n,
+			FullNs:       full.wall / n,
+			Speedup:      median(ratios),
+			SpeedupMin:   slices.Min(ratios),
+			SpeedupMax:   slices.Max(ratios),
+			IncWrites:    inc.writes / n,
+			FullWrites:   full.writes / n,
+			IncComputed:  inc.computed / n,
+			FullComputed: full.computed / n,
+			IncReused:    inc.reused / n,
+			IncDelayNs:   inc.delay / n,
+			FullDelayNs:  full.delay / n,
 		})
+	}
+	for i := 1; i < len(rows); i++ {
+		prev, r := rows[i-1], rows[i]
+		if r.Churn > prev.Churn && (r.IncWrites <= prev.IncWrites || r.IncComputed <= prev.IncComputed) {
+			return nil, fmt.Errorf("roundbench: churn %.2f → %.2f does not grow the work: writes %.1f → %.1f, computed %.1f → %.1f",
+				prev.Churn, r.Churn, prev.IncWrites, r.IncWrites, prev.IncComputed, r.IncComputed)
+		}
 	}
 	return rows, nil
 }
@@ -180,12 +229,13 @@ func RunRoundBench(cfg RoundBenchConfig) ([]RoundBenchRow, error) {
 // RenderRoundBench formats the rows.
 func RenderRoundBench(rows []RoundBenchRow) string {
 	t := stats.NewTable("Control-round microbenchmark: incremental vs full repopulation (per round)",
-		"churn", "budget", "inc ns", "full ns", "speedup", "inc writes", "full writes",
+		"churn", "budget", "inc ns", "full ns", "speedup", "speedup range", "inc writes", "full writes",
 		"inc computed", "full computed", "inc reused")
 	for _, r := range rows {
 		t.AddF(fmt.Sprintf("%.0f%%", 100*r.Churn), r.Budget,
 			fmt.Sprintf("%.0f", r.IncNs), fmt.Sprintf("%.0f", r.FullNs),
 			fmt.Sprintf("%.1fx", r.Speedup),
+			fmt.Sprintf("%.1f-%.1fx", r.SpeedupMin, r.SpeedupMax),
 			fmt.Sprintf("%.1f", r.IncWrites), fmt.Sprintf("%.1f", r.FullWrites),
 			fmt.Sprintf("%.1f", r.IncComputed), fmt.Sprintf("%.1f", r.FullComputed),
 			fmt.Sprintf("%.1f", r.IncReused))

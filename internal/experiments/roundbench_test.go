@@ -11,13 +11,15 @@ func shortRoundBenchConfig() RoundBenchConfig {
 	cfg.ChurnLevels = []float64{0, 1}
 	cfg.Rounds = 8
 	cfg.Warmup = 3
-	cfg.CalcBudget = 256
+	cfg.CalcBudget = 192 // 1.5 entries per bin per level, as the default
 	return cfg
 }
 
-// TestRoundBenchAcceptance runs the issue's acceptance sweep: a converged
-// (0% churn) incremental round must recompute nothing, and at the 1024-entry
-// budget it must beat full repopulation by at least 5× wall-clock.
+// TestRoundBenchAcceptance runs the acceptance sweep: a converged (0% churn)
+// incremental round must recompute and write nothing, and at the default
+// budget the median of its interleaved per-trial speedups over full
+// repopulation must be at least 5×. RunRoundBench itself fails unless the
+// incremental writes and evaluations grow with the churn level.
 func TestRoundBenchAcceptance(t *testing.T) {
 	cfg := DefaultRoundBenchConfig()
 	if testing.Short() {
@@ -39,7 +41,8 @@ func TestRoundBenchAcceptance(t *testing.T) {
 				t.Errorf("converged round wrote %.1f TCAM entries, want 0", r.IncWrites)
 			}
 			if !testing.Short() && r.Speedup < 5 {
-				t.Errorf("converged speedup %.1fx below the 5x acceptance floor", r.Speedup)
+				t.Errorf("converged speedup %.1fx (trials %.1f-%.1fx) below the 5x acceptance floor",
+					r.Speedup, r.SpeedupMin, r.SpeedupMax)
 			}
 		}
 		if r.IncComputed > r.FullComputed {

@@ -2,7 +2,6 @@ package population
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/ada-repro/ada/internal/bitstr"
 	"github.com/ada-repro/ada/internal/trie"
@@ -18,10 +17,9 @@ import (
 //  1. The trie exposes a monotonic ChangeSeq covering every leaf shape/mass
 //     mutation, so equal sequence numbers mean identical allocation inputs
 //     and the whole previous result can be returned as-is.
-//  2. massWithin(leaves, p) depends only on the leaves overlapping p, and
-//     every mutation to such a leaf marks a dirty prefix overlapping p; a
-//     cached mass whose prefix overlaps no dirty prefix is therefore still
-//     exact (same overlapping leaf set, same summation order, same float).
+//  2. A recomputed allocation that equals the previous one yields the
+//     previous population, so that build is returned as-is too: a round
+//     whose hit counts moved without moving the allocation builds nothing.
 //  3. An entry's result f(rep.Pick(p)) is a pure function of its prefix, so
 //     the per-prefix evaluation cache never goes stale; only allocations
 //     change, never the value attached to a kept prefix.
@@ -30,43 +28,24 @@ import (
 // function itself cannot be fingerprinted, so reusing a memo across
 // different operations is a caller bug.
 
-// AllocCache memoizes ADAAllocate across control rounds. The zero value is
-// ready to use. It caches both the full allocation (reused wholesale when
-// the trie has not mutated at all) and the per-prefix mass evaluations that
-// dominate Algorithm 3's cost (reused for every subtree the trie's dirty set
-// does not touch).
+// AllocCache memoizes ADAAllocate across control rounds: the allocation is
+// reused wholesale while the trie has not mutated. The zero value is ready
+// to use.
 type AllocCache struct {
-	valid  bool
-	width  int
-	budget int
-	seq    uint64 // trie ChangeSeq at fill time
-	gen    uint64 // trie Generation at fill time
-
+	valid    bool
+	width    int
+	budget   int
+	seq      uint64 // trie ChangeSeq at fill time
 	prefixes []bitstr.Prefix
-	masses   map[bitstr.Prefix]float64
 }
 
 // Invalidate drops all cached state; the next call recomputes from scratch.
 func (c *AllocCache) Invalidate() { *c = AllocCache{} }
 
-// massesUsable reports whether the cached mass evaluations may seed the next
-// computation: the dirty set must cover every mutation since the cache was
-// filled. That holds when no commit intervened (the dirty set only grew), or
-// when exactly one commit intervened at precisely the cached state (the
-// dirty set restarted from it).
-func (c *AllocCache) massesUsable(t *trie.Trie) bool {
-	if !c.valid || c.width != t.Width() {
-		return false
-	}
-	g := t.Generation()
-	return g == c.gen || (g == c.gen+1 && t.CommittedSeq() == c.seq)
-}
-
 // ADAAllocateCached is ADAAllocate's incremental mode: identical output,
-// with cached work reused where the trie's dirty-subtree tracking proves it
-// unchanged. reused reports the wholesale case (nothing mutated since the
-// cache was filled; the returned slice is the cached one and must not be
-// mutated). A nil cache degrades to the plain ADAAllocate.
+// reused wholesale when the trie has not mutated since the cache was filled
+// (reused reports that case; the returned slice is the cached one and must
+// not be mutated). A nil cache degrades to the plain ADAAllocate.
 func ADAAllocateCached(t *trie.Trie, budget int, c *AllocCache) (prefixes []bitstr.Prefix, reused bool, err error) {
 	if budget < 1 {
 		return nil, false, fmt.Errorf("%w: got %d", ErrBudget, budget)
@@ -78,77 +57,26 @@ func ADAAllocateCached(t *trie.Trie, budget int, c *AllocCache) (prefixes []bits
 	if c.valid && c.width == t.Width() && c.budget == budget && c.seq == t.ChangeSeq() {
 		return c.prefixes, true, nil
 	}
-	var old map[bitstr.Prefix]float64
-	if c.massesUsable(t) {
-		old = c.masses
-	}
-	dirty := newDirtyIndex(t.Dirty())
-	cur := make(map[bitstr.Prefix]float64)
-	mass := func(leaves []trie.Bin, p bitstr.Prefix) float64 {
-		if m, ok := cur[p]; ok {
-			return m
-		}
-		if old != nil {
-			if m, ok := old[p]; ok && !dirty.overlaps(p) {
-				cur[p] = m
-				return m
-			}
-		}
-		m := massWithin(leaves, p)
-		cur[p] = m
-		return m
-	}
-	ps, err := adaAllocate(t, budget, mass)
+	ps, err := ADAAllocate(t, budget)
 	if err != nil {
 		c.Invalidate()
 		return nil, false, err
 	}
-	c.valid = true
-	c.width, c.budget = t.Width(), budget
-	c.seq, c.gen = t.ChangeSeq(), t.Generation()
-	c.prefixes, c.masses = ps, cur
+	*c = AllocCache{valid: true, width: t.Width(), budget: budget, seq: t.ChangeSeq(), prefixes: ps}
 	return ps, false, nil
 }
 
-// dirtyIndex is the dirty prefixes' value ranges merged into a sorted,
-// disjoint interval union, so the hot mass-reuse path tests overlap in
-// O(log n) instead of scanning the whole dirty set per cached prefix.
-type dirtyIndex struct {
-	lo, hi []uint64 // parallel; sorted ascending, disjoint
-}
-
-func newDirtyIndex(dirty []bitstr.Prefix) dirtyIndex {
-	if len(dirty) == 0 {
-		return dirtyIndex{}
+// samePrefixes reports whether two allocations are identical.
+func samePrefixes(a, b []bitstr.Prefix) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].Lo() < dirty[j].Lo() })
-	var d dirtyIndex
-	curLo, curHi := dirty[0].Lo(), dirty[0].Hi()
-	for _, p := range dirty[1:] {
-		if p.Lo() <= curHi+1 && curHi+1 != 0 { // adjacent or overlapping
-			if p.Hi() > curHi {
-				curHi = p.Hi()
-			}
-			continue
+	for i := range a {
+		if a[i] != b[i] {
+			return false
 		}
-		d.lo = append(d.lo, curLo)
-		d.hi = append(d.hi, curHi)
-		curLo, curHi = p.Lo(), p.Hi()
 	}
-	d.lo = append(d.lo, curLo)
-	d.hi = append(d.hi, curHi)
-	return d
-}
-
-// overlaps reports whether p's value range intersects the dirty union:
-// prefix overlap is exactly interval overlap, because prefixes are aligned
-// value ranges.
-func (d dirtyIndex) overlaps(p bitstr.Prefix) bool {
-	// First merged interval whose high end reaches p; d.hi is ascending
-	// because the intervals are sorted and disjoint.
-	lo := p.Lo()
-	i := sort.Search(len(d.hi), func(i int) bool { return d.hi[i] >= lo })
-	return i < len(d.lo) && d.lo[i] <= p.Hi()
+	return true
 }
 
 // UnaryMemo carries the memoized state for one unary (operation,
@@ -157,6 +85,9 @@ type UnaryMemo struct {
 	alloc AllocCache
 	// evals accumulates f(rep.Pick(p)) per prefix; pure, so never stale.
 	evals map[bitstr.Prefix]uint64
+	// build numbers the population builds; it survives Invalidate so a
+	// number is never reused for different contents.
+	build uint64
 
 	valid   bool
 	width   int
@@ -170,15 +101,17 @@ type UnaryMemo struct {
 // UnaryMemoResult is one memoized population build.
 type UnaryMemoResult struct {
 	// Entries is the population, identical to what ADAUnary would return.
-	// On the wholesale-reuse path it aliases the memo's cache; callers must
+	// When the build is reused it aliases the memo's cache; callers must
 	// not mutate it.
 	Entries []UnaryEntry
 	// Results maps each installed prefix to its result — the shadow copy a
-	// delta-committing target diffs against. The map is rebuilt on every
-	// recompute, so callers may retain it across calls.
+	// delta-committing target diffs against. A new build gets a new map, so
+	// callers may retain it across calls.
 	Results map[bitstr.Prefix]uint64
-	// Seq is the trie ChangeSeq this population corresponds to.
-	Seq uint64
+	// Build identifies the Entries/Results pair: a result with the same
+	// Build as an earlier one from the same memo holds the same population.
+	// Builds start at 1.
+	Build uint64
 	// Computed and Reused split the entry count into fresh function
 	// evaluations and cache hits (the paper's Table II compute accounting).
 	Computed int
@@ -189,7 +122,7 @@ type UnaryMemoResult struct {
 }
 
 // Invalidate drops all cached state.
-func (m *UnaryMemo) Invalidate() { *m = UnaryMemo{} }
+func (m *UnaryMemo) Invalidate() { *m = UnaryMemo{build: m.build} }
 
 // ADAUnaryMemo is ADAUnary with cross-round memoization. Output is
 // byte-identical to ADAUnary for the same inputs; m must be dedicated to
@@ -204,31 +137,35 @@ func ADAUnaryMemo(t *trie.Trie, f UnaryFunc, budget int, rep Representative, m *
 		for _, e := range entries {
 			results[e.P] = e.Result
 		}
-		return UnaryMemoResult{Entries: entries, Results: results, Seq: t.ChangeSeq(), Computed: len(entries)}, nil
+		return UnaryMemoResult{Entries: entries, Results: results, Computed: len(entries)}, nil
 	}
-	if m.valid && m.width == t.Width() && m.budget == budget && m.rep == rep && m.seq == t.ChangeSeq() {
-		return UnaryMemoResult{
-			Entries: m.entries, Results: m.results, Seq: m.seq,
-			Reused: len(m.entries), AllocReused: true,
-		}, nil
+	same := m.valid && m.width == t.Width() && m.budget == budget && m.rep == rep
+	if same && m.seq == t.ChangeSeq() {
+		return m.reuse(true), nil
 	}
 	if m.rep != rep || m.width != t.Width() {
 		// A different representative (or domain) invalidates every cached
 		// evaluation, not just the allocation.
 		m.Invalidate()
 	}
+	prev := m.alloc.prefixes // the allocation m.entries was built from
 	prefixes, allocReused, err := ADAAllocateCached(t, budget, &m.alloc)
 	if err != nil {
 		m.Invalidate()
 		return UnaryMemoResult{}, err
 	}
+	if same && samePrefixes(prefixes, prev) {
+		m.seq = t.ChangeSeq()
+		return m.reuse(allocReused), nil
+	}
 	if m.evals == nil {
 		m.evals = make(map[bitstr.Prefix]uint64, len(prefixes))
 	}
+	m.build++
 	res := UnaryMemoResult{
 		Entries:     make([]UnaryEntry, len(prefixes)),
 		Results:     make(map[bitstr.Prefix]uint64, len(prefixes)),
-		Seq:         t.ChangeSeq(),
+		Build:       m.build,
 		AllocReused: allocReused,
 	}
 	for i, p := range prefixes {
@@ -245,9 +182,17 @@ func ADAUnaryMemo(t *trie.Trie, f UnaryFunc, budget int, rep Representative, m *
 	}
 	m.valid = true
 	m.width, m.budget, m.rep = t.Width(), budget, rep
-	m.seq = res.Seq
+	m.seq = t.ChangeSeq()
 	m.entries, m.results = res.Entries, res.Results
 	return res, nil
+}
+
+// reuse returns the memo's current build, every entry served from cache.
+func (m *UnaryMemo) reuse(allocReused bool) UnaryMemoResult {
+	return UnaryMemoResult{
+		Entries: m.entries, Results: m.results, Build: m.build,
+		Reused: len(m.entries), AllocReused: allocReused,
+	}
 }
 
 // BinaryPair is the match key of one two-operand entry.
@@ -260,6 +205,7 @@ type BinaryPair struct {
 type BinaryMemo struct {
 	ax, ay AllocCache
 	evals  map[BinaryPair]uint64
+	build  uint64 // see UnaryMemo.build
 
 	valid      bool
 	budget     int
@@ -272,22 +218,22 @@ type BinaryMemo struct {
 
 // BinaryMemoResult is one memoized two-operand population build.
 type BinaryMemoResult struct {
-	// Entries is the population, identical to ADABinary's output; on the
-	// wholesale-reuse path it aliases the memo's cache.
+	// Entries is the population, identical to ADABinary's output; when the
+	// build is reused it aliases the memo's cache.
 	Entries []BinaryEntry
-	// Results maps each installed pair to its result, rebuilt on every
-	// recompute; callers may retain it.
+	// Results maps each installed pair to its result; a new build gets a
+	// new map, so callers may retain it.
 	Results map[BinaryPair]uint64
-	// SeqX, SeqY are the operand tries' ChangeSeqs this build corresponds to.
-	SeqX, SeqY uint64
-	Computed   int
-	Reused     int
+	// Build identifies the population, as UnaryMemoResult.Build does.
+	Build    uint64
+	Computed int
+	Reused   int
 	// AllocReused reports that both marginal allocations were reused.
 	AllocReused bool
 }
 
 // Invalidate drops all cached state.
-func (m *BinaryMemo) Invalidate() { *m = BinaryMemo{} }
+func (m *BinaryMemo) Invalidate() { *m = BinaryMemo{build: m.build} }
 
 // ADABinaryMemo is ADABinary with cross-round memoization. Output is
 // byte-identical to ADABinary for the same inputs; m must be dedicated to
@@ -309,22 +255,19 @@ func ADABinaryMemo(tx, ty *trie.Trie, f BinaryFunc, budget int, rep Representati
 		}
 		return BinaryMemoResult{
 			Entries: entries, Results: results,
-			SeqX: tx.ChangeSeq(), SeqY: ty.ChangeSeq(), Computed: len(entries),
+			Computed: len(entries),
 		}, nil
 	}
-	if m.valid && m.budget == budget && m.rep == rep &&
-		m.wx == tx.Width() && m.wy == ty.Width() &&
-		m.seqX == tx.ChangeSeq() && m.seqY == ty.ChangeSeq() {
-		return BinaryMemoResult{
-			Entries: m.entries, Results: m.results,
-			SeqX: m.seqX, SeqY: m.seqY,
-			Reused: len(m.entries), AllocReused: true,
-		}, nil
+	same := m.valid && m.budget == budget && m.rep == rep &&
+		m.wx == tx.Width() && m.wy == ty.Width()
+	if same && m.seqX == tx.ChangeSeq() && m.seqY == ty.ChangeSeq() {
+		return m.reuse(true), nil
 	}
 	if m.rep != rep || m.wx != tx.Width() || m.wy != ty.Width() {
 		m.Invalidate()
 	}
 	mx, my := BinarySideBudgets(tx, ty, budget)
+	prevX, prevY := m.ax.prefixes, m.ay.prefixes // m.entries' marginals
 	xs, rx, err := ADAAllocateCached(tx, mx, &m.ax)
 	if err != nil {
 		m.Invalidate()
@@ -335,14 +278,18 @@ func ADABinaryMemo(tx, ty *trie.Trie, f BinaryFunc, budget int, rep Representati
 		m.Invalidate()
 		return BinaryMemoResult{}, err
 	}
+	if same && samePrefixes(xs, prevX) && samePrefixes(ys, prevY) {
+		m.seqX, m.seqY = tx.ChangeSeq(), ty.ChangeSeq()
+		return m.reuse(rx && ry), nil
+	}
 	if m.evals == nil {
 		m.evals = make(map[BinaryPair]uint64, len(xs)*len(ys))
 	}
+	m.build++
 	res := BinaryMemoResult{
 		Entries:     make([]BinaryEntry, 0, len(xs)*len(ys)),
 		Results:     make(map[BinaryPair]uint64, len(xs)*len(ys)),
-		SeqX:        tx.ChangeSeq(),
-		SeqY:        ty.ChangeSeq(),
+		Build:       m.build,
 		AllocReused: rx && ry,
 	}
 	for _, x := range xs {
@@ -369,7 +316,15 @@ func ADABinaryMemo(tx, ty *trie.Trie, f BinaryFunc, budget int, rep Representati
 	m.valid = true
 	m.budget, m.rep = budget, rep
 	m.wx, m.wy = tx.Width(), ty.Width()
-	m.seqX, m.seqY = res.SeqX, res.SeqY
+	m.seqX, m.seqY = tx.ChangeSeq(), ty.ChangeSeq()
 	m.entries, m.results = res.Entries, res.Results
 	return res, nil
+}
+
+// reuse returns the memo's current build, every entry served from cache.
+func (m *BinaryMemo) reuse(allocReused bool) BinaryMemoResult {
+	return BinaryMemoResult{
+		Entries: m.entries, Results: m.results, Build: m.build,
+		Reused: len(m.entries), AllocReused: allocReused,
+	}
 }

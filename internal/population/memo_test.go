@@ -75,8 +75,8 @@ func TestADAAllocateCachedDifferential(t *testing.T) {
 
 // TestADAAllocateCachedSurvivesForeignCommit covers the memo-staleness
 // hazard: the trie commits at a state the cache never saw (e.g. a degraded
-// round dropped the shadow trie), so the dirty set no longer describes the
-// delta from the cached state and mass reuse must be refused.
+// round dropped the shadow trie), and the cache must still serve exactly
+// the allocation of the current content.
 func TestADAAllocateCachedSurvivesForeignCommit(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tr, err := trie.NewInitial(16, 10)
@@ -106,6 +106,19 @@ func TestADAAllocateCachedSurvivesForeignCommit(t *testing.T) {
 	}
 }
 
+// checkBuild asserts the Build contract between consecutive memo results:
+// the number stays put exactly when the population does, so a caller that
+// committed the previous build can skip the commit.
+func checkBuild(t *testing.T, step int, prevBuild, build uint64, sameEntries bool) {
+	t.Helper()
+	if build == 0 {
+		t.Fatalf("step %d: Build is 0", step)
+	}
+	if (build == prevBuild) != sameEntries {
+		t.Fatalf("step %d: Build %d after %d, but entries unchanged = %v", step, build, prevBuild, sameEntries)
+	}
+}
+
 func TestADAUnaryMemoDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tr, err := trie.NewInitial(16, 12)
@@ -114,6 +127,7 @@ func TestADAUnaryMemoDifferential(t *testing.T) {
 	}
 	f := func(x uint64) uint64 { return x * x }
 	var memo UnaryMemo
+	var prev UnaryMemoResult
 	for step := 0; step < 300; step++ {
 		if rng.Intn(4) != 0 {
 			mutate(tr, rng)
@@ -141,6 +155,8 @@ func TestADAUnaryMemoDifferential(t *testing.T) {
 				t.Fatalf("step %d: Results[%v] = %d,%v, want %d", step, e.P, got, ok, e.Result)
 			}
 		}
+		checkBuild(t, step, prev.Build, res.Build, reflect.DeepEqual(prev.Entries, res.Entries))
+		prev = res
 		if rng.Intn(3) == 0 {
 			tr.CommitGeneration()
 		}
@@ -194,6 +210,7 @@ func TestADABinaryMemoDifferential(t *testing.T) {
 	}
 	f := func(x, y uint64) uint64 { return x*1000 + y }
 	var memo BinaryMemo
+	var prev BinaryMemoResult
 	for step := 0; step < 150; step++ {
 		if rng.Intn(3) != 0 {
 			mutate(tx, rng)
@@ -215,6 +232,8 @@ func TestADABinaryMemoDifferential(t *testing.T) {
 		if res.Computed+res.Reused != len(want) {
 			t.Fatalf("step %d: computed+reused != entries", step)
 		}
+		checkBuild(t, step, prev.Build, res.Build, reflect.DeepEqual(prev.Entries, res.Entries))
+		prev = res
 		if rng.Intn(3) == 0 {
 			tx.CommitGeneration()
 		}

@@ -16,7 +16,6 @@
 package population
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -306,14 +305,6 @@ func ADAAllocate(t *trie.Trie, budget int) ([]bitstr.Prefix, error) {
 	if budget < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBudget, budget)
 	}
-	return adaAllocate(t, budget, massWithin)
-}
-
-// adaAllocate is the Algorithm 3 core with a pluggable mass oracle. The
-// incremental mode (AllocCache) substitutes a memoizing oracle; the oracle
-// must return exactly what massWithin would, bit for bit, so both modes
-// produce identical allocations.
-func adaAllocate(t *trie.Trie, budget int, mass func([]trie.Bin, bitstr.Prefix) float64) ([]bitstr.Prefix, error) {
 	width := t.Width()
 	root, err := bitstr.Root(width)
 	if err != nil {
@@ -325,6 +316,7 @@ func adaAllocate(t *trie.Trie, budget int, mass func([]trie.Bin, bitstr.Prefix) 
 		// No distribution knowledge: equal share across the domain.
 		return Subdivide(root, budget), nil
 	}
+	masses := newMassIndex(leaves)
 
 	// 1. Working range: trim adaTailEpsilon of mass from each side.
 	eps := float64(total) * adaTailEpsilon
@@ -382,19 +374,19 @@ func adaAllocate(t *trie.Trie, budget int, mass func([]trie.Bin, bitstr.Prefix) 
 	// O(budget·log budget) instead of O(budget²). Fully specified regions
 	// can never be split again and are parked in done.
 	var done []bitstr.Prefix
-	h := regionHeap{rs: make([]region, 0, len(cover))}
+	h := make(regionHeap, 0, len(cover))
 	push := func(p bitstr.Prefix) {
 		if p.WildBits() == 0 {
 			done = append(done, p)
 			return
 		}
-		heap.Push(&h, region{p: p, mass: mass(leaves, p)})
+		h.push(region{p: p, mass: masses.mass(p)})
 	}
 	for _, p := range cover {
 		push(p)
 	}
-	for len(done)+h.Len() < refineBudget && h.Len() > 0 {
-		best := heap.Pop(&h).(region)
+	for len(done)+len(h) < refineBudget && len(h) > 0 {
+		best := h.pop()
 		lp, err := best.p.Left()
 		if err != nil {
 			return nil, err
@@ -407,26 +399,23 @@ func adaAllocate(t *trie.Trie, budget int, mass func([]trie.Bin, bitstr.Prefix) 
 		push(rp)
 	}
 
-	// 3. Combine the backstop and the refined range.
-	out := make([]bitstr.Prefix, 0, len(backstop)+len(done)+h.Len())
-	seen := make(map[bitstr.Prefix]bool, cap(out))
-	add := func(p bitstr.Prefix) {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	for _, p := range backstop {
-		add(p)
-	}
-	for _, p := range done {
-		add(p)
-	}
-	for _, r := range h.rs {
-		add(r.p)
+	// 3. Combine the backstop and the refined range, dropping the
+	// duplicates (the catch-all may coincide with a one-prefix cover).
+	out := make([]bitstr.Prefix, 0, len(backstop)+len(done)+len(h))
+	out = append(out, backstop...)
+	out = append(out, done...)
+	for _, r := range h {
+		out = append(out, r.p)
 	}
 	bitstr.SortPrefixes(out)
-	return out, nil
+	n := 0
+	for i, p := range out {
+		if i == 0 || p != out[n-1] {
+			out[n] = p
+			n++
+		}
+	}
+	return out[:n], nil
 }
 
 // region is one candidate prefix in Algorithm 3's refinement loop.
@@ -435,17 +424,11 @@ type region struct {
 	mass float64
 }
 
-// regionHeap is a max-heap over (mass, wild bits, low bound) — the exact
-// selection order of Algorithm 3's refinement: hottest first, coarser first
+// before is the refinement's selection order: hottest first, coarser first
 // on mass ties, lower range first as the final tiebreak. The order is total
 // (low bounds are unique within a partition), so heap extraction is
 // deterministic and matches a linear max-scan step for step.
-type regionHeap struct{ rs []region }
-
-func (h *regionHeap) Len() int { return len(h.rs) }
-
-func (h *regionHeap) Less(i, j int) bool {
-	a, b := h.rs[i], h.rs[j]
+func (a region) before(b region) bool {
 	switch {
 	case a.mass != b.mass:
 		return a.mass > b.mass
@@ -456,35 +439,78 @@ func (h *regionHeap) Less(i, j int) bool {
 	}
 }
 
-func (h *regionHeap) Swap(i, j int) { h.rs[i], h.rs[j] = h.rs[j], h.rs[i] }
+// regionHeap is a binary max-heap over region.before.
+type regionHeap []region
 
-func (h *regionHeap) Push(x any) { h.rs = append(h.rs, x.(region)) }
-
-func (h *regionHeap) Pop() any {
-	last := len(h.rs) - 1
-	r := h.rs[last]
-	h.rs = h.rs[:last]
-	return r
+func (h *regionHeap) push(r region) {
+	*h = append(*h, r)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s[i].before(s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
 }
 
-// massWithin returns the hit mass inside prefix p, spreading each leaf's
-// hits uniformly over its interval.
-func massWithin(leaves []trie.Bin, p bitstr.Prefix) float64 {
-	mass := 0.0
-	for _, l := range leaves {
-		if l.Hits == 0 || !l.Prefix.Overlaps(p) {
-			continue
+func (h *regionHeap) pop() region {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		best, l, r := i, 2*i+1, 2*i+2
+		if l < len(s) && s[l].before(s[best]) {
+			best = l
 		}
-		switch {
-		case p.ContainsPrefix(l.Prefix):
-			mass += float64(l.Hits)
-		case l.Prefix.ContainsPrefix(p):
-			// Fraction of the leaf covered by p: 2^-(bits difference).
-			frac := math.Exp2(float64(l.Prefix.Bits() - p.Bits()))
-			mass += float64(l.Hits) * frac
+		if r < len(s) && s[r].before(s[best]) {
+			best = r
 		}
+		if best == i {
+			break
+		}
+		s[i], s[best] = s[best], s[i]
+		i = best
 	}
-	return mass
+	*h = s
+	return top
+}
+
+// massIndex answers Algorithm 3's mass queries in O(log bins): integer
+// prefix sums over the trie's sorted, disjoint leaves, built once per
+// allocation. The mass inside prefix p spreads each leaf's hits uniformly
+// over its interval. Because prefixes are aligned, p either contains whole
+// leaves or lies inside one leaf, so its mass is an integer hit sum or one
+// leaf's hits scaled by a power of two — exactly what a float scan over the
+// overlapping leaves computes while hit totals stay below 2^53.
+type massIndex struct {
+	leaves []trie.Bin
+	cum    []uint64 // cum[i] is the hit sum of leaves[:i]
+}
+
+func newMassIndex(leaves []trie.Bin) massIndex {
+	cum := make([]uint64, len(leaves)+1)
+	for i, l := range leaves {
+		cum[i+1] = cum[i] + l.Hits
+	}
+	return massIndex{leaves: leaves, cum: cum}
+}
+
+func (m massIndex) mass(p bitstr.Prefix) float64 {
+	lo, hi := p.Lo(), p.Hi()
+	i := sort.Search(len(m.leaves), func(i int) bool { return m.leaves[i].Prefix.Hi() >= lo })
+	if i == len(m.leaves) {
+		return 0
+	}
+	if l := m.leaves[i]; l.Prefix.Bits() <= p.Bits() {
+		// p lies inside leaf l: the fraction 2^-(bits difference) of it.
+		return float64(l.Hits) * math.Exp2(float64(l.Prefix.Bits()-p.Bits()))
+	}
+	j := i + sort.Search(len(m.leaves)-i, func(k int) bool { return m.leaves[i+k].Prefix.Lo() > hi })
+	return float64(m.cum[j] - m.cum[i])
 }
 
 // EffectiveSupport returns the exponential of the Shannon entropy of the

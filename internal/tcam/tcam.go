@@ -1,13 +1,13 @@
 package tcam
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
 	"reflect"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -410,10 +410,63 @@ func (t *Table) newEntryLocked(fields []Field, priority int, data any) *Entry {
 
 // removeOrderedLocked drops e from the resolution order; t.mu must be held.
 func (t *Table) removeOrderedLocked(e *Entry) {
-	for i, o := range t.ordered {
-		if o == e {
-			t.ordered = append(t.ordered[:i], t.ordered[i+1:]...)
-			return
+	if i := t.orderedPos(e); i < len(t.ordered) && t.ordered[i] == e {
+		t.ordered = append(t.ordered[:i], t.ordered[i+1:]...)
+	}
+}
+
+// orderedPos returns e's index in the resolution order (the insertion point
+// when e is not installed). less is a strict total order, so the binary
+// search lands on e itself.
+func (t *Table) orderedPos(e *Entry) int {
+	return sort.Search(len(t.ordered), func(i int) bool { return !less(t.ordered[i], e) })
+}
+
+// reorderLocked applies a commit's deletes and inserts to the resolution
+// order in one pass: the deleted entries are compacted out once and the
+// inserts, sorted, are merged in once — O(n + k log k) for a table of n
+// entries and a delta of k, where one memmove per row would cost O(n·k).
+// Every entry of dels must be installed in t.ordered; t.mu must be held.
+func (t *Table) reorderLocked(dels, ins []*Entry) {
+	if len(dels) > 0 {
+		pos := make([]int, len(dels))
+		for i, e := range dels {
+			pos[i] = t.orderedPos(e)
+		}
+		sort.Ints(pos)
+		n := len(t.ordered)
+		kept := t.ordered[:pos[0]]
+		for i, p := range pos {
+			next := n
+			if i+1 < len(pos) {
+				next = pos[i+1]
+			}
+			kept = append(kept, t.ordered[p+1:next]...)
+		}
+		clear(t.ordered[len(kept):n])
+		t.ordered = kept
+	}
+	if len(ins) > 0 {
+		slices.SortFunc(ins, func(a, b *Entry) int {
+			switch {
+			case less(a, b):
+				return -1
+			case less(b, a):
+				return 1
+			}
+			return 0
+		})
+		// Merge from the back so the grown slice is filled in place.
+		i, j := len(t.ordered)-1, len(ins)-1
+		t.ordered = append(t.ordered, ins...)
+		for w := len(t.ordered) - 1; j >= 0; w-- {
+			if i >= 0 && less(ins[j], t.ordered[i]) {
+				t.ordered[w] = t.ordered[i]
+				i--
+			} else {
+				t.ordered[w] = ins[j]
+				j--
+			}
 		}
 	}
 }
@@ -735,13 +788,16 @@ func (t *Table) ReplaceAll(rows []Row) (writes int, err error) {
 	writes = len(t.entries) + len(rows)
 	t.stats.deletes.Add(uint64(len(t.entries)))
 	t.entries = make(map[int]*Entry, len(rows))
+	clear(t.ordered)
 	t.ordered = t.ordered[:0]
-	for _, r := range rows {
+	ins := make([]*Entry, len(rows))
+	for i, r := range rows {
 		e := t.newEntryLocked(r.Fields, r.Priority, r.Data)
 		t.entries[e.ID] = e
-		t.insertOrdered(e)
-		t.stats.inserts.Add(1)
+		ins[i] = e
 	}
+	t.reorderLocked(nil, ins)
+	t.stats.inserts.Add(uint64(len(rows)))
 	t.generation++
 	t.dirtyLocked()
 	return writes, nil
@@ -756,11 +812,11 @@ func (t *Table) ReplaceAll(rows []Row) (writes int, err error) {
 // paper's Table II write counts low). The end state on success is identical
 // to ReplaceAll(rows); only the write accounting differs.
 //
-// The reconciliation is staged against a shadow snapshot of the table, and
-// on any row-write failure the table (entries, counters, generation) is
-// restored to its pre-call state. This models rebuilding the calculation
-// population into a shadow generation and committing it atomically, so a
-// data-plane lookup never observes a partially populated table.
+// The reconciliation is staged, and on any row-write failure the table
+// (entries, counters, generation) is restored to its pre-call state. This
+// models rebuilding the calculation population into a shadow generation and
+// committing it atomically, so a data-plane lookup never observes a
+// partially populated table.
 func (t *Table) ApplyRowsAtomic(rows []Row) (writes int, err error) {
 	for _, r := range rows {
 		if err := t.validateFields(r.Fields); err != nil {
@@ -769,90 +825,54 @@ func (t *Table) ApplyRowsAtomic(rows []Row) (writes int, err error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	snap := t.snapshotLocked()
-	writes, err = t.applyRowsLocked(rows)
-	if err != nil {
-		t.restoreLocked(snap)
-		return 0, err
-	}
-	t.generation++
-	t.dirtyLocked()
-	return writes, nil
-}
-
-// applyRowsLocked is ApplyRowsAtomic's reconciliation. On a row-write
-// failure it returns immediately with earlier writes applied, for the caller
-// to roll back; t.mu must be held.
-func (t *Table) applyRowsLocked(rows []Row) (writes int, err error) {
+	tx := t.beginLocked()
 	if t.capacity > 0 && len(rows) > t.capacity {
+		tx.rollback()
 		return 0, &CapacityError{Table: t.name, Capacity: t.capacity, Installed: len(t.entries), Requested: len(rows)}
 	}
-	// Index current entries by their cached match key (serialised once at
-	// insert, not per reconcile).
-	current := make(map[string][]*Entry, len(t.entries))
-	for _, e := range t.ordered {
-		current[e.key] = append(current[e.key], e)
-	}
+	keys := newKeyIndex(t.ordered)
+	// Rows whose key is installed keep their entry (rewriting its data if
+	// it changed); the rest are inserted. Entries no row claimed are stale.
 	var toInsert []Row
 	for _, r := range rows {
-		k := matchKey(r.Fields, r.Priority)
-		list := current[k]
-		if len(list) == 0 {
+		e, ok := keys.take(matchKey(r.Fields, r.Priority))
+		if !ok {
 			toInsert = append(toInsert, r)
 			continue
 		}
-		e := list[0]
-		current[k] = list[1:]
-		if !dataEqual(e.Data, r.Data) {
-			if err := t.writeLocked(WriteUpdate); err != nil {
-				return writes, err
-			}
-			e.Data = r.Data
-			t.stats.updates.Add(1)
-			writes++
+		if err := tx.update(e, r.Data); err != nil {
+			return 0, err
 		}
 	}
-	// Remove stale entries.
-	for _, list := range current {
-		for _, e := range list {
-			if err := t.writeLocked(WriteDelete); err != nil {
-				return writes, err
-			}
-			delete(t.entries, e.ID)
-			t.removeOrderedLocked(e)
-			t.stats.deletes.Add(1)
-			writes++
+	for _, e := range t.ordered {
+		if !keys.holds(e) {
+			continue
+		}
+		if err := tx.remove(e); err != nil {
+			return 0, err
 		}
 	}
-	// Install new entries.
 	for _, r := range toInsert {
-		if err := t.writeLocked(WriteInsert); err != nil {
-			return writes, err
+		if _, err := tx.insert(r); err != nil {
+			return 0, err
 		}
-		e := t.newEntryLocked(r.Fields, r.Priority, r.Data)
-		t.entries[e.ID] = e
-		t.insertOrdered(e)
-		t.stats.inserts.Add(1)
-		writes++
 	}
-	return writes, nil
+	return tx.commit(), nil
 }
 
 // ApplyDelta applies an incremental reconciliation: deletes removes installed
 // rows by match key, upserts installs new rows or rewrites the action data of
 // rows already installed under the same key. Unlike ApplyRowsAtomic it never
-// visits unchanged entries, so a converged round costs O(delta), not
-// O(table).
+// writes unchanged entries, so a converged round costs O(delta) writes.
 //
 // The operation is transactional: on any failure — a write-hook error, a
 // capacity overflow, or a delete whose key is not installed (ErrDeltaConflict,
 // meaning the caller's shadow copy is stale and a full reconciliation is
-// required) — every applied row is rolled back and the table is left exactly
-// as before the call. Duplicate keys in deletes consume one installed entry
-// each. On success the end state is identical to the equivalent full
-// ApplyRowsAtomic, generation advances, and writes counts physical row
-// operations (deletes + inserts + data rewrites; an upsert whose data is
-// already installed costs nothing).
+// required) — the table is left exactly as before the call. Duplicate keys
+// in deletes consume one installed entry each. On success the end state is
+// identical to the equivalent full ApplyRowsAtomic, generation advances, and
+// writes counts physical row operations (deletes + inserts + data rewrites;
+// an upsert whose data is already installed costs nothing).
 func (t *Table) ApplyDelta(upserts, deletes []Row) (writes int, err error) {
 	for _, r := range upserts {
 		if err := t.validateFields(r.Fields); err != nil {
@@ -866,161 +886,225 @@ func (t *Table) ApplyDelta(upserts, deletes []Row) (writes int, err error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-
-	// Undo log: each applied physical op records how to reverse itself.
-	// Rollback replays it in reverse; re-inserting the original *Entry
-	// restores the exact resolution order because its seq is preserved.
-	type undoOp struct {
-		op      WriteOp
-		e       *Entry
-		oldData any
-	}
-	var undo []undoOp
-	savedID, savedSeq := t.nextID, t.nextSeq
-	savedIns := t.stats.inserts.Load()
-	savedDel := t.stats.deletes.Load()
-	savedUpd := t.stats.updates.Load()
-	rollback := func() {
-		for i := len(undo) - 1; i >= 0; i-- {
-			u := undo[i]
-			switch u.op {
-			case WriteDelete:
-				t.entries[u.e.ID] = u.e
-				t.insertOrdered(u.e)
-			case WriteUpdate:
-				u.e.Data = u.oldData
-			case WriteInsert:
-				delete(t.entries, u.e.ID)
-				t.removeOrderedLocked(u.e)
-			}
-		}
-		t.nextID, t.nextSeq = savedID, savedSeq
-		t.stats.inserts.Store(savedIns)
-		t.stats.deletes.Store(savedDel)
-		t.stats.updates.Store(savedUpd)
-		t.dirtyLocked()
-	}
-
-	current := make(map[string][]*Entry, len(t.entries))
-	for _, e := range t.ordered {
-		current[e.key] = append(current[e.key], e)
-	}
-
+	tx := t.beginLocked()
+	keys := newKeyIndex(t.ordered)
 	// Deletes first, freeing capacity for the inserts.
 	for _, r := range deletes {
 		k := matchKey(r.Fields, r.Priority)
-		list := current[k]
-		if len(list) == 0 {
-			rollback()
+		e, ok := keys.take(k)
+		if !ok {
+			tx.rollback()
 			return 0, fmt.Errorf("%w: delete of %q not installed in table %q", ErrDeltaConflict, k, t.name)
 		}
-		e := list[0]
-		current[k] = list[1:]
-		if err := t.writeLocked(WriteDelete); err != nil {
-			rollback()
+		if err := tx.remove(e); err != nil {
 			return 0, err
 		}
-		delete(t.entries, e.ID)
-		t.removeOrderedLocked(e)
-		t.stats.deletes.Add(1)
-		writes++
-		undo = append(undo, undoOp{op: WriteDelete, e: e})
 	}
 	for _, r := range upserts {
 		k := matchKey(r.Fields, r.Priority)
-		if list := current[k]; len(list) > 0 {
-			e := list[0]
-			if dataEqual(e.Data, r.Data) {
-				continue
-			}
-			if err := t.writeLocked(WriteUpdate); err != nil {
-				rollback()
+		if e, ok := keys.peek(k); ok {
+			if err := tx.update(e, r.Data); err != nil {
 				return 0, err
 			}
-			undo = append(undo, undoOp{op: WriteUpdate, e: e, oldData: e.Data})
-			e.Data = r.Data
-			t.stats.updates.Add(1)
-			writes++
 			continue
 		}
-		if t.capacity > 0 && len(t.entries) >= t.capacity {
-			rollback()
-			return 0, &CapacityError{Table: t.name, Capacity: t.capacity, Installed: len(t.entries), Requested: 1}
+		if n := tx.size(); t.capacity > 0 && n >= t.capacity {
+			tx.rollback()
+			return 0, &CapacityError{Table: t.name, Capacity: t.capacity, Installed: n, Requested: 1}
 		}
-		if err := t.writeLocked(WriteInsert); err != nil {
-			rollback()
+		e, err := tx.insert(r)
+		if err != nil {
 			return 0, err
 		}
-		e := t.newEntryLocked(r.Fields, r.Priority, r.Data)
-		t.entries[e.ID] = e
-		t.insertOrdered(e)
-		t.stats.inserts.Add(1)
-		writes++
-		undo = append(undo, undoOp{op: WriteInsert, e: e})
-		current[k] = append(current[k], e)
+		keys.add(k, e)
 	}
-	t.generation++
-	t.dirtyLocked()
-	return writes, nil
+	return tx.commit(), nil
 }
 
-// tableSnapshot captures the mutable table state for rollback. Only the
-// mutator counters are captured: lookup counters advance lock-free while a
-// commit is staged, so restoring them would erase concurrent lookups.
-type tableSnapshot struct {
-	entries map[int]*Entry
-	ordered []*Entry
+// commitTx stages one bulk commit. Each row operation consults the write
+// hook and the counters as it goes, but the entry set and the resolution
+// order change only in commit, so a rollback has just the data rewrites,
+// the counters and the ID sequence to undo. A failing operation rolls back
+// before it returns its error.
+type commitTx struct {
+	t       *Table
+	dels    []*Entry
+	ins     []*Entry
+	undo    []dataUndo
 	nextID  int
 	nextSeq int
 	inserts uint64
 	deletes uint64
 	updates uint64
+	writes  int
 }
 
-// snapshotLocked deep-copies the entries (Field slices are immutable and
-// shared; Data is copied by value at the Entry level, which is enough
-// because updates replace Data rather than mutating through it).
-func (t *Table) snapshotLocked() tableSnapshot {
-	snap := tableSnapshot{
-		entries: make(map[int]*Entry, len(t.entries)),
-		ordered: make([]*Entry, len(t.ordered)),
-		nextID:  t.nextID,
-		nextSeq: t.nextSeq,
+// dataUndo records one action rewrite for rollback.
+type dataUndo struct {
+	e   *Entry
+	old any
+}
+
+// beginLocked opens a commit; t.mu must be held until it commits or rolls
+// back.
+func (t *Table) beginLocked() *commitTx {
+	return &commitTx{
+		t: t, nextID: t.nextID, nextSeq: t.nextSeq,
 		inserts: t.stats.inserts.Load(),
 		deletes: t.stats.deletes.Load(),
 		updates: t.stats.updates.Load(),
 	}
-	for i, e := range t.ordered {
-		c := *e
-		snap.ordered[i] = &c
-		snap.entries[c.ID] = &c
-	}
-	return snap
 }
 
-func (t *Table) restoreLocked(snap tableSnapshot) {
-	t.entries = snap.entries
-	t.ordered = snap.ordered
-	t.nextID = snap.nextID
-	t.nextSeq = snap.nextSeq
-	t.stats.inserts.Store(snap.inserts)
-	t.stats.deletes.Store(snap.deletes)
-	t.stats.updates.Store(snap.updates)
+// size is the entry count the table will hold if the commit lands.
+func (tx *commitTx) size() int { return len(tx.t.entries) - len(tx.dels) + len(tx.ins) }
+
+// remove stages the delete of installed entry e.
+func (tx *commitTx) remove(e *Entry) error {
+	if err := tx.t.writeLocked(WriteDelete); err != nil {
+		tx.rollback()
+		return err
+	}
+	tx.dels = append(tx.dels, e)
+	tx.t.stats.deletes.Add(1)
+	tx.writes++
+	return nil
+}
+
+// update rewrites e's action data unless it already holds data.
+func (tx *commitTx) update(e *Entry, data any) error {
+	if dataEqual(e.Data, data) {
+		return nil
+	}
+	if err := tx.t.writeLocked(WriteUpdate); err != nil {
+		tx.rollback()
+		return err
+	}
+	tx.undo = append(tx.undo, dataUndo{e: e, old: e.Data})
+	e.Data = data
+	tx.t.stats.updates.Add(1)
+	tx.writes++
+	return nil
+}
+
+// insert stages a new entry for r.
+func (tx *commitTx) insert(r Row) (*Entry, error) {
+	if err := tx.t.writeLocked(WriteInsert); err != nil {
+		tx.rollback()
+		return nil, err
+	}
+	e := tx.t.newEntryLocked(r.Fields, r.Priority, r.Data)
+	tx.ins = append(tx.ins, e)
+	tx.t.stats.inserts.Add(1)
+	tx.writes++
+	return e, nil
+}
+
+// commit installs the staged deletes and inserts, advances the generation,
+// and returns the commit's row writes.
+func (tx *commitTx) commit() int {
+	t := tx.t
+	for _, e := range tx.dels {
+		delete(t.entries, e.ID)
+	}
+	for _, e := range tx.ins {
+		t.entries[e.ID] = e
+	}
+	t.reorderLocked(tx.dels, tx.ins)
+	t.generation++
+	t.dirtyLocked()
+	return tx.writes
+}
+
+// rollback undoes the staged commit. Like any mutation attempt it advances
+// Version (see doc.go), although the contents end as they began.
+func (tx *commitTx) rollback() {
+	t := tx.t
+	for i := len(tx.undo) - 1; i >= 0; i-- {
+		tx.undo[i].e.Data = tx.undo[i].old
+	}
+	t.nextID, t.nextSeq = tx.nextID, tx.nextSeq
+	t.stats.inserts.Store(tx.inserts)
+	t.stats.deletes.Store(tx.deletes)
+	t.stats.updates.Store(tx.updates)
 	t.dirtyLocked()
 }
 
-// matchKey serialises an entry's match fields and priority for diffing.
-func matchKey(fields []Field, priority int) string {
-	var b strings.Builder
-	b.Grow(len(fields)*34 + 12)
-	for _, f := range fields {
-		b.WriteString(strconv.FormatUint(f.Value, 16))
-		b.WriteByte('/')
-		b.WriteString(strconv.FormatUint(f.Mask, 16))
-		b.WriteByte(';')
+// keyIndex finds installed entries by match key for the bulk
+// reconciliations. Keys are unique in every population the control plane
+// builds, so one map entry per key holds the entry first in resolution
+// order; the rare later duplicates wait in more.
+type keyIndex struct {
+	first map[string]*Entry
+	more  map[string][]*Entry
+}
+
+func newKeyIndex(ordered []*Entry) keyIndex {
+	x := keyIndex{first: make(map[string]*Entry, len(ordered))}
+	for _, e := range ordered {
+		x.add(e.key, e)
 	}
-	b.WriteString(strconv.Itoa(priority))
-	return b.String()
+	return x
+}
+
+// add files e under k, after any entry already there.
+func (x *keyIndex) add(k string, e *Entry) {
+	if _, ok := x.first[k]; !ok {
+		x.first[k] = e
+		return
+	}
+	if x.more == nil {
+		x.more = make(map[string][]*Entry)
+	}
+	x.more[k] = append(x.more[k], e)
+}
+
+// peek returns the first entry under k.
+func (x *keyIndex) peek(k string) (*Entry, bool) {
+	e, ok := x.first[k]
+	return e, ok
+}
+
+// take removes and returns the first entry under k.
+func (x *keyIndex) take(k string) (*Entry, bool) {
+	e, ok := x.first[k]
+	if !ok {
+		return nil, false
+	}
+	if rest := x.more[k]; len(rest) > 0 {
+		x.first[k] = rest[0]
+		x.more[k] = rest[1:]
+	} else {
+		delete(x.first, k)
+	}
+	return e, true
+}
+
+// holds reports whether e is still filed (not taken).
+func (x *keyIndex) holds(e *Entry) bool {
+	if x.first[e.key] == e {
+		return true
+	}
+	for _, o := range x.more[e.key] {
+		if o == e {
+			return true
+		}
+	}
+	return false
+}
+
+// matchKey serialises an entry's match fields and priority for diffing:
+// the raw value and mask words of each field, then the priority, as
+// little-endian bytes. Equal keys mean equal fields and priority.
+func matchKey(fields []Field, priority int) string {
+	var buf [4*16 + 8]byte
+	b := buf[:0]
+	for _, f := range fields {
+		b = binary.LittleEndian.AppendUint64(b, f.Value)
+		b = binary.LittleEndian.AppendUint64(b, f.Mask)
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(priority))
+	return string(b)
 }
 
 // dataEqual compares action data without panicking on non-comparable types.

@@ -351,7 +351,7 @@ func (p *Partition) Validate() error {
 		local := tcam.RowKey(e.Fields[1:1+len(s.widths)], e.Priority-s.bandLo)
 		row, ok := s.installed[local]
 		if !ok {
-			return fmt.Errorf("tenant: entry %d not in %q's shadow map (key %s)", e.ID, s.name, local)
+			return fmt.Errorf("tenant: entry %d not in %q's shadow map (key %q)", e.ID, s.name, local)
 		}
 		if fmt.Sprint(row.data) != fmt.Sprint(e.Data) {
 			return fmt.Errorf("tenant: entry %d data diverged from %q's shadow map", e.ID, s.name)

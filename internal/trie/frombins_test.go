@@ -61,8 +61,9 @@ func TestFromBinsStartsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := got.Dirty(); len(d) != 0 {
-		t.Errorf("rebuilt trie reports dirty subtrees: %v", d)
+	if got.ChangeSeq() != got.CommittedSeq() || got.Generation() != 0 {
+		t.Errorf("rebuilt trie not clean: ChangeSeq %d, CommittedSeq %d, Generation %d",
+			got.ChangeSeq(), got.CommittedSeq(), got.Generation())
 	}
 }
 

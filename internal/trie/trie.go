@@ -69,35 +69,19 @@ type Bin struct {
 // Trie is the mutable binning tree. It is not safe for concurrent use; the
 // control plane owns it exclusively.
 //
-// The trie tracks which leaf intervals changed shape or hit mass since the
-// last CommitGeneration call — the signal the incremental control round uses
-// to skip Algorithm 3 recomputation over clean subtrees. Every mutation also
-// advances a monotonic change sequence, so a population memo can tell "this
-// exact trie content" apart from "a trie that mutated and mutated back across
-// a commit".
+// Every change to leaf shape or hit mass advances a monotonic change
+// sequence, so a population memo can tell "this exact trie content" apart
+// from "a trie that mutated and mutated back".
 type Trie struct {
 	width  int
 	root   *Node
 	leaves int
 
-	// dirty holds the leaf prefixes whose shape or hit mass changed since
-	// the last CommitGeneration. A split or merge marks the enclosing parent
-	// prefix, which covers every leaf the reshape touched.
-	dirty map[bitstr.Prefix]struct{}
-	// seq advances on every dirty-marking mutation; gen advances on every
-	// CommitGeneration; commitSeq records seq as of the last commit.
+	// seq advances on every leaf shape or mass change; gen advances on
+	// every CommitGeneration; commitSeq records seq as of the last commit.
 	seq       uint64
 	gen       uint64
 	commitSeq uint64
-}
-
-// markDirty records that the interval p changed shape or mass.
-func (t *Trie) markDirty(p bitstr.Prefix) {
-	if t.dirty == nil {
-		t.dirty = make(map[bitstr.Prefix]struct{})
-	}
-	t.dirty[p] = struct{}{}
-	t.seq++
 }
 
 // NewInitial runs Algorithm 1: given the monitoring entry budget m over
@@ -135,8 +119,7 @@ func NewInitial(m, width int) (*Trie, error) {
 	if err := grow(t.root, b); err != nil {
 		return nil, err
 	}
-	// Construction is the baseline population, not churn: start clean.
-	t.dirty = nil
+	// Construction is the baseline population, not churn: start committed.
 	t.commitSeq = t.seq
 	return t, nil
 }
@@ -161,7 +144,7 @@ func (t *Trie) split(n *Node) error {
 	n.right = &Node{prefix: r, hits: half}
 	n.hits = 0
 	t.leaves++
-	t.markDirty(n.prefix)
+	t.seq++
 	return nil
 }
 
@@ -174,7 +157,7 @@ func (t *Trie) merge(n *Node) error {
 	n.hits = n.left.hits + n.right.hits
 	n.left, n.right = nil, nil
 	t.leaves--
-	t.markDirty(n.prefix)
+	t.seq++
 	return nil
 }
 
@@ -238,7 +221,7 @@ func (t *Trie) Record(v uint64) {
 		}
 	}
 	n.hits++
-	t.markDirty(n.prefix)
+	t.seq++
 }
 
 // RecordAll records every value in vs.
@@ -259,7 +242,7 @@ func (t *Trie) SetLeafHits(hits []uint64) error {
 	t.walkLeaves(func(n *Node) {
 		if n.hits != hits[i] {
 			n.hits = hits[i]
-			t.markDirty(n.prefix)
+			t.seq++
 		}
 		i++
 	})
@@ -275,7 +258,7 @@ func (t *Trie) AddLeafHits(hits []uint64) error {
 	t.walkLeaves(func(n *Node) {
 		if hits[i] != 0 {
 			n.hits += hits[i]
-			t.markDirty(n.prefix)
+			t.seq++
 		}
 		i++
 	})
@@ -287,7 +270,7 @@ func (t *Trie) ResetHits() {
 	t.walkLeaves(func(n *Node) {
 		if n.hits != 0 {
 			n.hits = 0
-			t.markDirty(n.prefix)
+			t.seq++
 		}
 	})
 }
@@ -298,7 +281,7 @@ func (t *Trie) DecayHits() {
 	t.walkLeaves(func(n *Node) {
 		if n.hits != 0 {
 			n.hits /= 2
-			t.markDirty(n.prefix)
+			t.seq++
 		}
 	})
 }
@@ -422,9 +405,9 @@ func (t *Trie) Expand() bool {
 	return t.split(hot) == nil
 }
 
-// Clone returns a deep copy, including the dirty-tracking state, so the
-// shadow-trie round workflow (clone → mutate → populate → commit) sees every
-// change accumulated since the last commit.
+// Clone returns a deep copy, including the change and commit sequences, so
+// the shadow-trie round workflow (clone → mutate → populate → commit) keeps
+// the memo keys of the trie it copies.
 func (t *Trie) Clone() *Trie {
 	var copyNode func(n *Node) *Node
 	copyNode = func(n *Node) *Node {
@@ -441,32 +424,8 @@ func (t *Trie) Clone() *Trie {
 		gen:       t.gen,
 		commitSeq: t.commitSeq,
 	}
-	if len(t.dirty) > 0 {
-		c.dirty = make(map[bitstr.Prefix]struct{}, len(t.dirty))
-		for p := range t.dirty {
-			c.dirty[p] = struct{}{}
-		}
-	}
 	return c
 }
-
-// Dirty returns the prefixes whose shape or hit mass changed since the last
-// CommitGeneration, in unspecified order. Merged or split intervals appear as
-// the enclosing parent prefix; a consumer invalidating cached work should
-// treat any cached interval that overlaps a dirty prefix as stale.
-func (t *Trie) Dirty() []bitstr.Prefix {
-	if len(t.dirty) == 0 {
-		return nil
-	}
-	out := make([]bitstr.Prefix, 0, len(t.dirty))
-	for p := range t.dirty {
-		out = append(out, p)
-	}
-	return out
-}
-
-// NumDirty returns the number of distinct dirty prefixes.
-func (t *Trie) NumDirty() int { return len(t.dirty) }
 
 // ChangeSeq returns the monotonic mutation sequence: it advances on every
 // change to leaf shape or mass and never goes backward, so two observations
@@ -480,11 +439,10 @@ func (t *Trie) Generation() uint64 { return t.gen }
 func (t *Trie) CommittedSeq() uint64 { return t.commitSeq }
 
 // CommitGeneration marks the current trie content as installed in the data
-// plane: the dirty set clears, the generation advances, and the committed
-// sequence catches up to ChangeSeq. The controller calls this after a round's
+// plane: the generation advances and the committed sequence catches up to
+// ChangeSeq. The controller calls this after a round's
 // populate step succeeds. It returns the new generation.
 func (t *Trie) CommitGeneration() uint64 {
-	t.dirty = nil
 	t.gen++
 	t.commitSeq = t.seq
 	return t.gen
