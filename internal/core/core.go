@@ -302,7 +302,6 @@ func (t *unaryTarget) PopulateDelta(tr *trie.Trie, budget int) (int, int, int, e
 		// Converged round: the memo returned the installed build (the trie
 		// did not change, or changed without moving the allocation), so
 		// there is nothing to diff and nothing to write.
-		t.record(res)
 		return 0, res.Computed, res.Reused, nil
 	}
 	var add []population.UnaryEntry
@@ -320,7 +319,8 @@ func (t *unaryTarget) PopulateDelta(tr *trie.Trie, budget int) (int, int, int, e
 	bitstr.SortPrefixes(stale) // deterministic row order across runs
 	if len(add) == 0 && len(stale) == 0 {
 		// Nothing to write: committing an empty delta would still advance
-		// the table's generation and flush every lookup cache.
+		// the table's generation and flush every lookup cache. Recording
+		// the build sends the next round down the branch above.
 		t.record(res)
 		return 0, res.Computed, res.Reused, nil
 	}
@@ -757,7 +757,6 @@ func (s *BinarySystem) populate() (int, int, int, error) {
 		return writes, res.Computed, res.Reused, nil
 	}
 	if s.installedBuild == res.Build {
-		s.record(res)
 		return 0, res.Computed, res.Reused, nil
 	}
 	var add []population.BinaryEntry

@@ -98,7 +98,7 @@ func (t *Table) TamperData(fields []Field, priority int, data any) error {
 	defer t.mu.Unlock()
 	e := t.findTamperTargetLocked(fields, priority)
 	if e == nil {
-		return fmt.Errorf("%w: tamper target %q in table %q", ErrNotFound, matchKey(fields, priority), t.name)
+		return fmt.Errorf("%w: tamper target %v priority %d in table %q", ErrNotFound, fields, priority, t.name)
 	}
 	e.Data = data
 	t.tamperLocked()
@@ -117,8 +117,8 @@ func (t *Table) TamperInsert(fields []Field, priority int, data any) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.findTamperTargetLocked(fields, priority) != nil {
-		return fmt.Errorf("%w: ghost row %q already installed in table %q",
-			ErrDeltaConflict, matchKey(fields, priority), t.name)
+		return fmt.Errorf("%w: ghost row %v priority %d already installed in table %q",
+			ErrDeltaConflict, fields, priority, t.name)
 	}
 	if t.capacity > 0 && len(t.entries) >= t.capacity {
 		return &CapacityError{Table: t.name, Capacity: t.capacity, Installed: len(t.entries), Requested: 1}
@@ -138,7 +138,7 @@ func (t *Table) TamperDelete(fields []Field, priority int) error {
 	defer t.mu.Unlock()
 	e := t.findTamperTargetLocked(fields, priority)
 	if e == nil {
-		return fmt.Errorf("%w: tamper target %q in table %q", ErrNotFound, matchKey(fields, priority), t.name)
+		return fmt.Errorf("%w: tamper target %v priority %d in table %q", ErrNotFound, fields, priority, t.name)
 	}
 	delete(t.entries, e.ID)
 	t.removeOrderedLocked(e)

@@ -894,7 +894,7 @@ func (t *Table) ApplyDelta(upserts, deletes []Row) (writes int, err error) {
 		e, ok := keys.take(k)
 		if !ok {
 			tx.rollback()
-			return 0, fmt.Errorf("%w: delete of %q not installed in table %q", ErrDeltaConflict, k, t.name)
+			return 0, fmt.Errorf("%w: delete of %v priority %d not installed in table %q", ErrDeltaConflict, r.Fields, r.Priority, t.name)
 		}
 		if err := tx.remove(e); err != nil {
 			return 0, err

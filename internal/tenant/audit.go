@@ -106,7 +106,7 @@ func (s *Slice) AuditRepair(expect []tcam.Row) (int, error) {
 	for _, r := range expect {
 		k := tcam.RowKey(r.Fields, r.Priority)
 		if _, dup := next[k]; dup {
-			return 0, fmt.Errorf("tenant: %s: duplicate match key %s", s.Name(), k)
+			return 0, fmt.Errorf("tenant: %s: duplicate match key %v priority %d", s.Name(), r.Fields, r.Priority)
 		}
 		next[k] = sliceRow{fields: r.Fields, priority: r.Priority, data: r.Data}
 		pr, err := s.physRow(r.Fields, r.Priority, r.Data)

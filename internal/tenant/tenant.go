@@ -351,7 +351,8 @@ func (p *Partition) Validate() error {
 		local := tcam.RowKey(e.Fields[1:1+len(s.widths)], e.Priority-s.bandLo)
 		row, ok := s.installed[local]
 		if !ok {
-			return fmt.Errorf("tenant: entry %d not in %q's shadow map (key %q)", e.ID, s.name, local)
+			return fmt.Errorf("tenant: entry %d not in %q's shadow map (fields %v, priority %d)",
+				e.ID, s.name, e.Fields[1:1+len(s.widths)], e.Priority-s.bandLo)
 		}
 		if fmt.Sprint(row.data) != fmt.Sprint(e.Data) {
 			return fmt.Errorf("tenant: entry %d data diverged from %q's shadow map", e.ID, s.name)
@@ -570,7 +571,7 @@ func (s *Slice) ApplyRowsAtomic(rows []tcam.Row) (int, error) {
 	for _, r := range rows {
 		k := tcam.RowKey(r.Fields, r.Priority)
 		if _, dup := next[k]; dup {
-			return 0, fmt.Errorf("tenant: %s: duplicate match key %s", s.Name(), k)
+			return 0, fmt.Errorf("tenant: %s: duplicate match key %v priority %d", s.Name(), r.Fields, r.Priority)
 		}
 		next[k] = sliceRow{fields: r.Fields, priority: r.Priority, data: r.Data}
 		pr, err := s.physRow(r.Fields, r.Priority, r.Data)
@@ -630,7 +631,7 @@ func (s *Slice) ApplyDelta(upserts, deletes []tcam.Row) (int, error) {
 		k := tcam.RowKey(r.Fields, r.Priority)
 		old, ok := s.installed[k]
 		if !ok || removed[k] {
-			return 0, fmt.Errorf("%w: delete of %q not installed in slice %s", tcam.ErrDeltaConflict, k, s.Name())
+			return 0, fmt.Errorf("%w: delete of %v priority %d not installed in slice %s", tcam.ErrDeltaConflict, r.Fields, r.Priority, s.Name())
 		}
 		removed[k] = true
 		pr, err := s.physRow(old.fields, old.priority, nil)
