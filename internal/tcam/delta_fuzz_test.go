@@ -133,7 +133,7 @@ func describeModel(ms []modelRow) string {
 
 // FuzzApplyDelta checks Table.ApplyDelta against a model of its documented
 // semantics and against a twin table reconciled with ApplyRowsAtomic to the
-// model's end state. Inputs draw small tables (duplicate keys included),
+// same end state. Inputs draw small tables (duplicate keys included),
 // upserts, deletes (missing keys included), a capacity, and a write-hook
 // failure at a random row. On success the entry order, fingerprint, write
 // count and counters must match; on failure the table must be exactly as
